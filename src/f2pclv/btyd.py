@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import betaln, expit, gammaln
 
 from .data import RFMSummary, summary_arrays
 from .errors import DataError, NumericalError
@@ -255,17 +255,23 @@ def expected_transactions(params: ParetoNBDParams | BGNBDParams, frequency, rece
 # Gamma-gamma spend model
 
 
+def _gamma_gamma_loglik_arrays(p, q, g, x, m, log_beta):
+    """Per-row log-likelihood, given log_beta = betaln(p * x, q) per row.
+
+    betaln and log1p, not differences of gammaln and of logs: at large p
+    those cancel and let fits run away to spurious optima.
+    """
+    px = p * x
+    return q * np.log(g) - log_beta - np.log(m) - px * np.log1p(g / (x * m)) - q * np.log(g + x * m)
+
+
 def gamma_gamma_loglik(params: GammaGammaParams, frequency, monetary_value):
     """Log-likelihood of the mean observed spend of a repeat customer."""
     x, m = _as_arrays(frequency, monetary_value)
     if np.any(x < 1) or np.any(m <= 0):
         raise DataError("gamma-gamma requires frequency >= 1 and monetary_value > 0")
     p, q, g = params.p, params.q, params.gamma
-    ll = (
-        gammaln(p * x + q) - gammaln(p * x) - gammaln(q)
-        + q * np.log(g) + (p * x - 1.0) * np.log(m) + p * x * np.log(x)
-        - (p * x + q) * np.log(g + x * m)
-    )
+    ll = _gamma_gamma_loglik_arrays(p, q, g, x, m, betaln(p * x, q))
     if not np.all(np.isfinite(ll)):
         raise NumericalError(f"non-finite gamma-gamma log-likelihood at params={params}")
     return _scalar_like(ll, frequency, monetary_value)
@@ -428,13 +434,13 @@ def fit_gamma_gamma(
     else:
         x0 = np.array([1.0, 2.0, max(m.mean(), 1e-6)])
 
+    # spend is continuous and rows do not repeat, but betaln, the costliest
+    # term, depends on x alone
+    x_values, at_x = np.unique(x, return_inverse=True)
+
     def loglik(vec):
         p, q, g = vec
-        return np.sum(
-            gammaln(p * x + q) - gammaln(p * x) - gammaln(q)
-            + q * np.log(g) + (p * x - 1.0) * np.log(m) + p * x * np.log(x)
-            - (p * x + q) * np.log(g + x * m)
-        )
+        return np.sum(_gamma_gamma_loglik_arrays(p, q, g, x, m, betaln(p * x_values, q)[at_x]))
 
     return _fit(loglik, x0, penalizer, restarts, seed, lambda v: GammaGammaParams(*v))
 

@@ -28,6 +28,7 @@ from .data import (
     rfm_quintile_scores,
     rfm_summary,
     split_calibration_holdout,
+    summary_arrays,
     weighted_rfm_rank,
     write_event_csv,
     write_summary_csv,
@@ -58,20 +59,17 @@ def _parse_kv(text: str) -> dict[str, float]:
     return out
 
 
-def _load_log(args, need_transactions=True) -> TransactionLog:
-    mapping = ColumnMapping(iso_dates=getattr(args, "iso_dates", False))
-    records, events = [], []
-    if getattr(args, "transactions", None):
-        with open(args.transactions) as fh:
-            result = parse_transaction_log(fh, mapping)
-        records = result.log.records
-    elif need_transactions:
-        raise DataError("--transactions is required")
-    if getattr(args, "events", None):
-        with open(args.events) as fh:
-            result = parse_event_log(fh, mapping)
-        events = result.log.events
-    return TransactionLog(records=records, events=events).sorted()
+def _load_log(transactions, events=None, iso_dates=False) -> TransactionLog:
+    if not transactions:
+        raise DataError("a transaction log is required")
+    mapping = ColumnMapping(iso_dates=iso_dates)
+    with open(transactions) as fh:
+        records = parse_transaction_log(fh, mapping).log.records
+    event_rows = []
+    if events:
+        with open(events) as fh:
+            event_rows = parse_event_log(fh, mapping).log.events
+    return TransactionLog(records=records, events=event_rows).sorted()
 
 
 def _write_rows(path, header, rows):
@@ -120,7 +118,7 @@ def cmd_ingest(args):
 
 
 def cmd_summarize(args):
-    log = _load_log(args)
+    log = _load_log(args.transactions, args.events, args.iso_dates)
     if args.kind == "rfm":
         end = args.observation_end if args.observation_end is not None else log.last_timestamp()
         summaries = rfm_summary(log, end)
@@ -148,7 +146,7 @@ def cmd_summarize(args):
 
 
 def cmd_split(args):
-    log = _load_log(args)
+    log = _load_log(args.transactions, args.events, args.iso_dates)
     cal, hold = split_calibration_holdout(log, args.cutoff)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,7 +270,7 @@ def cmd_fit(args):
         params = art.model_to_parameters("monetization", curve)
         print(f"monetization: {len(curve.knot_days)} knots")
     elif args.model == "markov":
-        log = _load_log_from_input(args)
+        log = _load_log(args.input)
         _, histories = markov.histories_from_log(log, args.period_days)
         space = markov.StateSpace.recency_cells(args.recency_cells)
         sequences = markov.discretize_states([h > 0 for h in histories], space)
@@ -317,22 +315,13 @@ def _read_curve_csv(path):
     return [(float(r["day"]), float(r["fraction"])) for r in rows]
 
 
-def _load_log_from_input(args):
-    class _A:
-        transactions = args.input
-        events = None
-        iso_dates = getattr(args, "iso_dates", False)
-
-    return _load_log(_A)
-
-
 def cmd_predict(args):
     artifact = art.load_artifact(args.artifact)
     model = art.model_from_artifact(artifact)
     kind = artifact.model_kind
     if kind in ("pareto_nbd", "bg_nbd"):
         summaries = read_summary_csv(args.input)
-        x, t_x, T, m = (np.array(v) for v in zip(*[(s.frequency, s.recency, s.age, s.monetary_value) for s in summaries]))
+        x, t_x, T, _ = summary_arrays(summaries)
         expected = np.atleast_1d(btyd.expected_transactions(model, x, t_x, T, args.horizon))
         alive = np.atleast_1d(btyd.p_alive(model, x, t_x, T))
         rows = []
@@ -465,12 +454,7 @@ def cmd_segment(args):
         )
         realized = {}
         if args.holdout:
-            class _A:
-                transactions = args.holdout
-                events = None
-                iso_dates = False
-
-            hold = _load_log(_A)
+            hold = _load_log(args.holdout)
             for r in hold.records:
                 realized[r.customer_id] = realized.get(r.customer_id, 0.0) + r.value
         order = np.argsort(-clv, kind="stable")

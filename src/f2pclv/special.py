@@ -2,12 +2,12 @@
 
 The buy-till-you-die likelihoods evaluate 2F1 for every customer on every
 optimizer step, with moderate parameters but arguments that can approach
-the z = 1 singularity, so this is implemented as a vectorized power series
-with a linear-space fast path, a signed log-space fallback for magnitudes
-beyond double range, the standard 1-z connection formula near the
-singularity, and Pfaff's transformation for negative z. Every row of a call
-stops summing at its own convergence, so a row gets the same value whatever
-other rows share the call.
+the z = 1 singularity, so this is implemented as one vectorized power
+series, summed in linear space and rescaled by powers of two when a sum
+outgrows double range, together with the standard 1-z connection formula
+near the singularity and Pfaff's transformation for negative z. Every row
+of a call stops summing at its own convergence, so a row gets the same
+value whatever other rows share the call.
 """
 
 from __future__ import annotations
@@ -27,23 +27,14 @@ _Z_SWITCH = 0.9
 # Machine-relative stop for sums whose magnitude dwarfs the absolute
 # tolerance.
 _REL_STOP = 1e-16
-_LOG_REL_STOP = np.log(_REL_STOP)
 
-
-def _signed_logaddexp(log_x, sign_x, log_y, sign_y):
-    """Accumulate y into x where both are (sign, log|value|) pairs."""
-    same = sign_x * sign_y >= 0
-    mag = np.logaddexp(log_x, log_y)
-    hi = np.maximum(log_x, log_y)
-    lo = np.minimum(log_x, log_y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diff = hi + np.log1p(-np.exp(lo - hi))
-    diff = np.where(lo == hi, -np.inf, diff)
-    out_log = np.where(same, mag, diff)
-    hi_sign = np.where(log_x >= log_y, sign_x, sign_y)
-    out_sign = np.where(same, np.where(sign_x == 0, sign_y, sign_x), hi_sign)
-    out_sign = np.where(np.isneginf(out_log), 0.0, out_sign)
-    return out_log, out_sign
+# A partial sum past _RESCALE (about 3e150) is multiplied by 2**-_STEP, which
+# is exact. The sum is then above 2**100, where the absolute tolerance is
+# below the rounding of the relative one, as in any sum this large. Sums are
+# checked every 4 terms, so one overflows only if it grows by more than
+# 2**400 (about 1e120) within 4 terms.
+_RESCALE = 2.0**500
+_STEP = 400
 
 
 def _dither_nonpositive_integer(c):
@@ -52,16 +43,19 @@ def _dither_nonpositive_integer(c):
     return np.where(near, c + 1e-9, c)
 
 
-def _series_linear(a, b, c, z, tol, max_terms):
-    """Direct power series in linear space.
+def _series(a, b, c, z, max_terms):
+    """Direct power series as (log|sum|, sign).
 
-    Each row stops at its own convergence, so a row's value does not depend
-    on the other rows in the call. Returns (totals, ok) where ok marks rows
-    that converged without overflowing.
+    The sum runs in linear space; a row whose partial sum passes _RESCALE
+    is scaled down by a power of two and the step counted, so sums beyond
+    double range need no second path. Each row stops at its own
+    convergence, so a row's value does not depend on the other rows in the
+    call.
     """
     c = _dither_nonpositive_integer(c)
     total = np.ones_like(z)
-    ok = np.zeros(z.shape, dtype=bool)
+    # a row's sum is total * 2**(_STEP * steps)
+    steps = np.zeros_like(z)
     # the series state of the rows still summing
     rows = np.arange(z.size)
     term = total.copy()
@@ -71,56 +65,26 @@ def _series_linear(a, b, c, z, tol, max_terms):
             term = term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0)) * z
             partial = partial + term
             # the convergence test costs as much as a term; amortize it
-            if n % 4 == 3 or n == max_terms - 1:
-                finite = np.isfinite(term) & np.isfinite(partial)
-                done = ~finite | (np.abs(term) < tol + _REL_STOP * np.abs(partial))
-                n_done = np.count_nonzero(done)
-                if n_done == 0:
-                    continue
-                finished = rows[done]
-                total[finished] = partial[done]
-                ok[finished] = finite[done]
-                if n_done == rows.size:
-                    break
-                keep = ~done
-                rows, a, b, c, z, term, partial = (
-                    v[keep] for v in (rows, a, b, c, z, term, partial)
-                )
-    return total, ok
-
-
-def _series_log(a, b, c, z, tol, max_terms):
-    """Direct power series accumulated as (sign, log|sum|) pairs, each row
-    stopping at its own convergence."""
-    c = _dither_nonpositive_integer(c)
-    log_s = np.zeros_like(z)
-    sign_s = np.ones_like(z)
-    # the series state of the rows still summing
-    rows = np.arange(z.size)
-    log_t = np.zeros_like(z)
-    sign_t = np.ones_like(z)
-    log_p = np.zeros_like(z)
-    sign_p = np.ones_like(z)
-    log_tol = np.log(tol)
-    for n in range(max_terms):
-        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        with np.errstate(divide="ignore"):
-            log_t = log_t + np.log(np.abs(ratio))
-        sign_t = sign_t * np.sign(ratio)
-        log_p, sign_p = _signed_logaddexp(log_p, sign_p, log_t, sign_t)
-        done = (log_t < log_tol) | (log_t < log_p + _LOG_REL_STOP)
-        n_done = np.count_nonzero(done)
-        if n_done == 0:
-            continue
-        finished = rows[done]
-        log_s[finished] = log_p[done]
-        sign_s[finished] = sign_p[done]
-        if n_done == rows.size:
-            return log_s, sign_s
-        keep = ~done
-        rows, a, b, c, z, log_t, sign_t, log_p, sign_p = (
-            v[keep] for v in (rows, a, b, c, z, log_t, sign_t, log_p, sign_p)
-        )
+            if n % 4 != 3 and n != max_terms - 1:
+                continue
+            mag = np.abs(partial)
+            big = mag > _RESCALE
+            if big.any():
+                for v in (partial, term, mag):
+                    v[big] = np.ldexp(v[big], -_STEP)
+                steps[rows[big]] += 1.0
+            done = np.abs(term) < SERIES_TOL + _REL_STOP * mag
+            n_done = np.count_nonzero(done)
+            if n_done == 0:
+                continue
+            total[rows[done]] = partial[done]
+            if n_done == rows.size:
+                with np.errstate(divide="ignore"):
+                    return np.log(np.abs(total)) + steps * (_STEP * np.log(2.0)), np.sign(total)
+            keep = ~done
+            rows, a, b, c, z, term, partial = (
+                v[keep] for v in (rows, a, b, c, z, term, partial)
+            )
     raise NumericalError(
         "2F1 series did not converge within %d terms (max |z| = %.6g)"
         % (max_terms, float(np.max(np.abs(z))))
@@ -140,20 +104,7 @@ def _log_gamma_ratio(tops, bottoms):
     return log, sign
 
 
-def _direct_log(a, b, c, z, tol, max_terms):
-    total, ok = _series_linear(a, b, c, z, tol, max_terms)
-    with np.errstate(divide="ignore"):
-        log_f = np.where(ok, np.log(np.abs(total)), 0.0)
-    sign_f = np.where(ok, np.sign(total), 1.0)
-    if not ok.all():
-        bad = ~ok
-        log_b, sign_b = _series_log(a[bad], b[bad], c[bad], z[bad], tol, max_terms)
-        log_f[bad] = log_b
-        sign_f[bad] = sign_b
-    return log_f, sign_f
-
-
-def _connection_log(a, b, c, z, tol, max_terms):
+def _connection_log(a, b, c, z, max_terms):
     """2F1 near z = 1 via the two-series connection formula in w = 1 - z.
 
     Requires c - a - b away from an integer; values within 1e-6 of one are
@@ -166,19 +117,22 @@ def _connection_log(a, b, c, z, tol, max_terms):
     w = 1.0 - z
 
     log_g1, sign_g1 = _log_gamma_ratio((c, d), (c - a, c - b))
-    log_f1, sign_f1 = _direct_log(a, b, a + b - c + 1.0, w, tol, max_terms)
+    log_f1, sign_f1 = _series(a, b, a + b - c + 1.0, w, max_terms)
     log_t1 = log_g1 + log_f1
     sign_t1 = sign_g1 * sign_f1
 
     log_g2, sign_g2 = _log_gamma_ratio((c, -d), (a, b))
-    log_f2, sign_f2 = _direct_log(c - a, c - b, d + 1.0, w, tol, max_terms)
+    log_f2, sign_f2 = _series(c - a, c - b, d + 1.0, w, max_terms)
     log_t2 = log_g2 + log_f2 + d * np.log(w)
     sign_t2 = sign_g2 * sign_f2
 
-    return _signed_logaddexp(log_t1, sign_t1, log_t2, sign_t2)
+    hi = np.maximum(log_t1, log_t2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        total = sign_t1 * np.exp(log_t1 - hi) + sign_t2 * np.exp(log_t2 - hi)
+        return hi + np.log(np.abs(total)), np.sign(total)
 
 
-def log_hyp2f1(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS):
     """(sign, log|2F1(a, b; c; z)|), vectorized over broadcast inputs.
 
     Supports real arguments with -0.9 <= z < 1; raises NumericalError if
@@ -207,12 +161,10 @@ def log_hyp2f1(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     near = z > _Z_SWITCH
     idx = ~near
     if idx.any():
-        log_f[idx], sign_f[idx] = _direct_log(
-            a[idx], b[idx], c[idx], z[idx], tol, max_terms
-        )
+        log_f[idx], sign_f[idx] = _series(a[idx], b[idx], c[idx], z[idx], max_terms)
     if near.any():
         log_f[near], sign_f[near] = _connection_log(
-            a[near], b[near], c[near], z[near], tol, max_terms
+            a[near], b[near], c[near], z[near], max_terms
         )
     log_f = log_f + log_scale
     if scalar:
@@ -220,8 +172,8 @@ def log_hyp2f1(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
     return sign_f, log_f
 
 
-def hyp2f1(a, b, c, z, tol=SERIES_TOL, max_terms=MAX_TERMS):
+def hyp2f1(a, b, c, z, max_terms=MAX_TERMS):
     """2F1(a, b; c; z) in linear space; overflows to +/-inf honestly."""
-    sign, log_f = log_hyp2f1(a, b, c, z, tol=tol, max_terms=max_terms)
+    sign, log_f = log_hyp2f1(a, b, c, z, max_terms=max_terms)
     with np.errstate(over="ignore"):
         return sign * np.exp(log_f)

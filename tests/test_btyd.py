@@ -253,6 +253,18 @@ class TestGammaGamma:
         )
         assert ll == pytest.approx(direct, abs=1e-12)
 
+    def test_restart_seed_does_not_run_away(self):
+        # at large p, differences of gammaln and of logs cancel to spurious
+        # log-likelihoods far above the truth's; seed 8's restarts reach there
+        _, truth = simulate_pareto_nbd_cohort(SimConfig(
+            20_000, 730.0, ParetoNBDParams(0.5, 10, 0.6, 12), GammaGammaParams(6, 4, 15),
+            seed=102, build_log=False,
+        ))
+        repeaters = [s for s in truth.summaries() if s.frequency > 0][:5000]
+        fit = fit_gamma_gamma(repeaters, seed=8)
+        assert fit.params.p < 100, fit.params
+        assert fit.nll == pytest.approx(fit_gamma_gamma(repeaters, seed=0).nll, rel=1e-6)
+
     def test_conditional_value_shrinks_between_bounds(self):
         params = GammaGammaParams(6.0, 4.0, 15.0)
         population = 6.0 * 15.0 / 3.0

@@ -70,14 +70,19 @@ def test_rows_converge_independently_of_each_other():
     rng = np.random.default_rng(4)
     a = rng.uniform(0.5, 60.0, 60)
     b = rng.uniform(0.1, 20.0, 60)
-    c = a + 1.0
     z = np.concatenate([
         rng.uniform(0.0, 0.05, 15),  # a handful of terms
         rng.uniform(0.6, 0.9, 15),  # hundreds of terms
         rng.uniform(0.9, 0.999, 15),  # connection formula
         rng.uniform(-0.9, -0.5, 15),  # Pfaff's transformation
     ])
+    # sums beyond double range, which the series rescales as it goes
+    a = np.concatenate([a, rng.uniform(20.0, 60.0, 10)])
+    b = np.concatenate([b, rng.uniform(700.0, 900.0, 10)])
+    c = a + 1.0
+    z = np.concatenate([z, rng.uniform(0.55, 0.7, 10)])
     sign, log_f = log_hyp2f1(a, b, c, z)
+    assert log_f[-10:].max() > np.log(np.finfo(float).max)
     for i in range(z.size):
         assert log_hyp2f1(a[i], b[i], c[i], z[i]) == (sign[i], log_f[i])
         ref = mpmath.hyp2f1(float(a[i]), float(b[i]), float(c[i]), float(z[i]))
@@ -124,8 +129,7 @@ def test_domain_errors():
 
 def test_nonconvergence_raises_with_diagnostic():
     with pytest.raises(NumericalError, match="terms"):
-        # huge parameters at moderate z overflow the linear path and the
-        # capped log path cannot converge in so few terms
+        # huge parameters at moderate z cannot converge in so few terms
         log_hyp2f1(800.0, 700.0, 2.0, 0.7, max_terms=5)
 
 
