@@ -52,14 +52,12 @@ def fingerprint_file(path) -> str:
     return digest.hexdigest()
 
 
-def build_metadata(seed=None, data_path=None, extra=None) -> dict:
+def build_metadata(seed=None, data_path=None) -> dict:
     md = {"created_utc": datetime.now(timezone.utc).isoformat()}
     if seed is not None:
         md["seed"] = seed
     if data_path is not None:
         md["data_fingerprint"] = fingerprint_file(data_path)
-    if extra:
-        md.update(extra)
     return md
 
 

@@ -8,7 +8,6 @@ Artifacts are JSON, tabular inputs and outputs are CSV. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -24,12 +23,14 @@ from .data import (
     daily_active_fractions,
     parse_event_log,
     parse_transaction_log,
+    read_columns,
     read_summary_csv,
     rfm_quintile_scores,
     rfm_summary,
     split_calibration_holdout,
     summary_arrays,
     weighted_rfm_rank,
+    write_csv,
     write_event_csv,
     write_summary_csv,
     write_transaction_csv,
@@ -63,20 +64,13 @@ def _load_log(transactions, events=None, iso_dates=False) -> TransactionLog:
     if not transactions:
         raise DataError("a transaction log is required")
     mapping = ColumnMapping(iso_dates=iso_dates)
-    with open(transactions) as fh:
+    with open(transactions, newline="") as fh:
         records = parse_transaction_log(fh, mapping).log.records
     event_rows = []
     if events:
-        with open(events) as fh:
+        with open(events, newline="") as fh:
             event_rows = parse_event_log(fh, mapping).log.events
-    return TransactionLog(records=records, events=event_rows).sorted()
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    return TransactionLog(records=records, events=event_rows)
 
 
 def _fmt(v):
@@ -99,7 +93,7 @@ def cmd_ingest(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.transactions:
-        with open(args.transactions) as fh:
+        with open(args.transactions, newline="") as fh:
             result = parse_transaction_log(fh, mapping)
         write_transaction_csv(result.log, out_dir / "transactions.csv")
         print(
@@ -107,7 +101,7 @@ def cmd_ingest(args):
             f"{result.rejected_rows} rejected of {result.total_rows}"
         )
     if args.events:
-        with open(args.events) as fh:
+        with open(args.events, newline="") as fh:
             result = parse_event_log(fh, mapping)
         write_event_csv(result.log, out_dir / "events.csv")
         print(
@@ -136,11 +130,11 @@ def cmd_summarize(args):
         )
     elif args.kind == "retention":
         points = daily_active_fractions(log, args.days)
-        _write_rows(args.out, ["day", "fraction"], [(d, _fmt(f)) for d, f in points])
+        write_csv(args.out, ["day", "fraction"], [(d, _fmt(f)) for d, f in points])
         print(f"wrote {len(points)} retention points to {args.out}")
     elif args.kind == "monetization":
         points = cumulative_revenue_fractions(log, args.days)
-        _write_rows(args.out, ["day", "fraction"], [(d, _fmt(f)) for d, f in points])
+        write_csv(args.out, ["day", "fraction"], [(d, _fmt(f)) for d, f in points])
         print(f"wrote {len(points)} monetization points to {args.out}")
     return 0
 
@@ -309,10 +303,10 @@ def cmd_fit(args):
 
 def _read_curve_csv(path):
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or "day" not in rows[0] or "fraction" not in rows[0]:
-        raise DataError(f"{path} must have columns day,fraction")
-    return [(float(r["day"]), float(r["fraction"])) for r in rows]
+        try:
+            return [(float(day), float(fraction)) for day, fraction in read_columns(fh, ("day", "fraction"))]
+        except (TypeError, ValueError) as e:
+            raise DataError(f"malformed cell in {path}: {e}") from None
 
 
 def cmd_predict(args):
@@ -324,51 +318,46 @@ def cmd_predict(args):
         x, t_x, T, _ = summary_arrays(summaries)
         expected = np.atleast_1d(btyd.expected_transactions(model, x, t_x, T, args.horizon))
         alive = np.atleast_1d(btyd.p_alive(model, x, t_x, T))
-        rows = []
+        header = ["customer_id", "expected_transactions", "p_alive"]
+        columns = [expected, alive]
         if args.spend_artifact:
             spend = art.model_from_artifact(art.load_artifact(args.spend_artifact))
             clv = btyd.discounted_clv(
                 model, spend, summaries, args.horizon, args.discount_rate, args.period_days
             )
             header = ["customer_id", "predicted_clv", "expected_transactions", "p_alive"]
-            for i, s in enumerate(summaries):
-                rows.append([s.customer_id, _fmt(clv[i]), _fmt(expected[i]), _fmt(alive[i])])
-        else:
-            header = ["customer_id", "expected_transactions", "p_alive"]
-            for i, s in enumerate(summaries):
-                rows.append([s.customer_id, _fmt(expected[i]), _fmt(alive[i])])
-        _write_rows(args.out, header, rows)
+            columns = [clv, expected, alive]
+        rows = ([s.customer_id, *(_fmt(c[i]) for c in columns)] for i, s in enumerate(summaries))
+        write_csv(args.out, header, rows)
     elif kind == "gamma_gamma":
         summaries = read_summary_csv(args.input)
         rows = [
             [s.customer_id, _fmt(btyd.conditional_expected_value(model, s.frequency, s.monetary_value))]
             for s in summaries
         ]
-        _write_rows(args.out, ["customer_id", "expected_value"], rows)
+        write_csv(args.out, ["customer_id", "expected_value"], rows)
     elif kind == "basic":
         value = cohort.basic_clv(model)
-        _write_rows(args.out, ["clv"], [[_fmt(value)]])
+        write_csv(args.out, ["clv"], [[_fmt(value)]])
     elif kind == "retention":
         if args.arpdau is None:
             raise DataError("retention prediction needs --arpdau")
         value = cohort.retention_clv(args.arpdau, model, int(args.horizon))
-        _write_rows(args.out, ["clv"], [[_fmt(value)]])
+        write_csv(args.out, ["clv"], [[_fmt(value)]])
     elif kind == "monetization":
         with open(args.input, newline="") as fh:
-            rows_in = list(csv.DictReader(fh))
-        if not rows_in or "revenue" not in rows_in[0]:
-            raise DataError(f"{args.input} must have columns customer_id,revenue")
-        rows = [
-            [r["customer_id"], _fmt(cohort.monetization_clv(float(r["revenue"]), model, args.horizon))]
-            for r in rows_in
-        ]
-        _write_rows(args.out, ["customer_id", "predicted_clv"], rows)
+            try:
+                revenues = [(cid, float(revenue)) for cid, revenue in read_columns(fh, ("customer_id", "revenue"))]
+            except (TypeError, ValueError) as e:
+                raise DataError(f"malformed cell in {args.input}: {e}") from None
+        rows = [[cid, _fmt(cohort.monetization_clv(revenue, model, args.horizon))] for cid, revenue in revenues]
+        write_csv(args.out, ["customer_id", "predicted_clv"], rows)
     elif kind == "markov":
         transitions, rewards = model
         horizon = None if args.infinite else int(args.horizon)
         values = markov.mcm_clv(transitions, rewards, args.discount_rate, horizon)
         rows = [[label, _fmt(v)] for label, v in zip(transitions.space.labels, values)]
-        _write_rows(args.out, ["state", "clv"], rows)
+        write_csv(args.out, ["state", "clv"], rows)
     elif kind in ("forest", "three_stage"):
         dataset = supervised.read_feature_csv(args.input)
         if kind == "forest":
@@ -378,7 +367,7 @@ def cmd_predict(args):
         rows = [
             [pid, _fmt(pred[i])] for i, pid in enumerate(dataset.features.player_ids)
         ]
-        _write_rows(args.out, ["customer_id", "predicted_clv"], rows)
+        write_csv(args.out, ["customer_id", "predicted_clv"], rows)
     else:
         raise DataError(f"prediction not implemented for {kind!r}")
     print(f"wrote predictions to {args.out}")
@@ -404,7 +393,7 @@ def cmd_evaluate(args):
     print(f"mean: mse={metrics.mse:.6f} nrmse={mean_nr}")
     if args.out:
         if args.format == "csv":
-            _write_rows(
+            write_csv(
                 args.out,
                 ["fold", "n_test", "mse", "nrmse"],
                 [[fm.fold, fm.n_test, _fmt(fm.mse), "" if fm.nrmse is None else _fmt(fm.nrmse)] for fm in metrics.folds],
@@ -430,7 +419,7 @@ def cmd_segment(args):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     codes = rfm_quintile_scores(summaries)
-    _write_rows(
+    write_csv(
         out_dir / "quintiles.csv",
         ["customer_id", "r_quintile", "f_quintile", "m_quintile"],
         [
@@ -440,7 +429,7 @@ def cmd_segment(args):
     )
     weights = tuple(float(w) for w in args.weights.split(","))
     ranked = weighted_rfm_rank(summaries, weights)
-    _write_rows(
+    write_csv(
         out_dir / "ranks.csv",
         ["rank", "customer_id", "score"],
         [[i + 1, cid, _fmt(score)] for i, (cid, score) in enumerate(ranked)],
@@ -469,7 +458,7 @@ def cmd_segment(args):
             mean_clv = float(np.mean(clv[mask])) if mask.any() else 0.0
             mean_real = float(np.mean([realized.get(cid, 0.0) for cid in ids])) if ids else 0.0
             rows.append([seg, int(mask.sum()), _fmt(mean_clv), _fmt(mean_real)])
-        _write_rows(
+        write_csv(
             out_dir / "segments.csv",
             ["segment", "count", "mean_predicted_clv", "mean_holdout_value"],
             rows,
@@ -489,7 +478,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--period-days", type=float, default=1.0)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("ingest", parents=[common], help="parse and normalize raw logs")
     p.add_argument("--transactions")
@@ -575,6 +563,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-depth", type=int)
     p.add_argument("--min-leaf", type=int, default=1)
     p.add_argument("--no-bootstrap", action="store_true")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 

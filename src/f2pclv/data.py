@@ -1,5 +1,9 @@
 """Transaction/event ingestion, RFM summaries, splits, and segmentation.
 
+Every tabular file the toolkit reads goes through `read_columns` and every
+one it writes through `write_csv`: logs, summaries, curves, features and
+predictions alike.
+
 Timestamps are days since an arbitrary epoch, as floats. Frequency counts
 repeat purchases only (the first purchase opens the relationship), and
 monetary value is the mean spend over those repeat purchases, matching the
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from typing import Iterable, Sequence
@@ -99,96 +104,99 @@ class IngestResult:
     total_rows: int
 
 
-def _parse_timestamp(raw: str, iso_dates: bool) -> float:
-    if iso_dates:
-        text = raw.strip()
-        try:
-            d = datetime.fromisoformat(text)
-        except ValueError:
-            d = datetime.combine(date.fromisoformat(text), datetime.min.time())
-        if d.tzinfo is not None:
-            d = d.astimezone(timezone.utc).replace(tzinfo=None)
-        return (d - datetime.combine(_EPOCH, datetime.min.time())).total_seconds() / 86400.0
-    return float(raw)
+def _iso_days(raw: str) -> float:
+    text = raw.strip()
+    try:
+        d = datetime.fromisoformat(text)
+    except ValueError:
+        d = datetime.combine(date.fromisoformat(text), datetime.min.time())
+    if d.tzinfo is not None:
+        d = d.astimezone(timezone.utc).replace(tzinfo=None)
+    return (d - datetime.combine(_EPOCH, datetime.min.time())).total_seconds() / 86400.0
+
+
+def read_columns(source: Iterable[str] | str, columns: Sequence[str], delimiter: str = ","):
+    """Yield the cells of `columns`, in order, from each row of a CSV given
+    as an open file, an iterable of lines or the text itself.
+
+    A column missing from the header row is a DataError naming it and the
+    file. As with `csv.DictReader`, blank rows are skipped, a name twice in
+    the header reads its last occurrence, and a short row's missing cells
+    are None.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    rows = csv.reader(source, delimiter=delimiter)
+    header = next(rows, [])
+    index = {name: i for i, name in enumerate(header)}
+    for name in columns:
+        if name not in index:
+            where = getattr(source, "name", "the input")
+            raise DataError(f"column {name!r} not found in header {header} of {where}")
+    picks = [index[name] for name in columns]
+    for row in rows:
+        if row:
+            n = len(row)
+            yield [row[i] if i < n else None for i in picks]
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def parse_transaction_log(source: Iterable[str] | str, mapping: ColumnMapping = ColumnMapping()) -> IngestResult:
     """Parse delimited purchase rows; malformed rows are counted, not kept.
 
-    Rows with an unparseable timestamp/value, a negative or non-finite
-    timestamp, or a negative value are rejected. A missing mapped column is
-    a format error.
+    Rows with a missing or unparseable cell, a negative or non-finite
+    timestamp, or a negative or non-finite value are rejected. A missing
+    mapped column is a format error.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.DictReader(source, delimiter=mapping.delimiter)
-    header = reader.fieldnames or []
-    for col in (mapping.customer_id, mapping.timestamp, mapping.value):
-        if col not in header:
-            raise DataError(f"mapped column {col!r} not found in header {header}")
+    to_days = _iso_days if mapping.iso_dates else float
+    columns = (mapping.customer_id, mapping.timestamp, mapping.value)
     records = []
-    rejected = 0
     total = 0
-    for row in reader:
+    for cid, raw_t, raw_v in read_columns(source, columns, mapping.delimiter):
         total += 1
         try:
-            cid = row[mapping.customer_id]
-            t = _parse_timestamp(row[mapping.timestamp], mapping.iso_dates)
-            v = float(row[mapping.value])
-        except (TypeError, ValueError, KeyError):
-            rejected += 1
+            t = to_days(raw_t)
+            v = float(raw_v)
+        except (AttributeError, TypeError, ValueError):  # a short row's missing cell is None
             continue
-        if cid is None or cid == "" or not np.isfinite(t) or t < 0 or not np.isfinite(v) or v < 0:
-            rejected += 1
-            continue
-        records.append(Transaction(cid, t, v))
+        if cid and math.isfinite(t) and t >= 0 and math.isfinite(v) and v >= 0:
+            records.append(Transaction(cid, t, v))
     log = TransactionLog(records=records).sorted()
-    return IngestResult(log=log, rejected_rows=rejected, total_rows=total)
+    return IngestResult(log=log, rejected_rows=total - len(records), total_rows=total)
 
 
 def parse_event_log(source: Iterable[str] | str, mapping: ColumnMapping = ColumnMapping()) -> IngestResult:
     """Parse gameplay-event rows (customer_id, timestamp, event_kind)."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.DictReader(source, delimiter=mapping.delimiter)
-    header = reader.fieldnames or []
-    for col in (mapping.customer_id, mapping.timestamp, mapping.event_kind):
-        if col not in header:
-            raise DataError(f"mapped column {col!r} not found in header {header}")
+    to_days = _iso_days if mapping.iso_dates else float
+    columns = (mapping.customer_id, mapping.timestamp, mapping.event_kind)
     events = []
-    rejected = 0
     total = 0
-    for row in reader:
+    for cid, raw_t, kind in read_columns(source, columns, mapping.delimiter):
         total += 1
         try:
-            cid = row[mapping.customer_id]
-            t = _parse_timestamp(row[mapping.timestamp], mapping.iso_dates)
-            kind = row[mapping.event_kind]
-        except (TypeError, ValueError, KeyError):
-            rejected += 1
+            t = to_days(raw_t)
+        except (AttributeError, TypeError, ValueError):  # a short row's missing cell is None
             continue
-        if cid is None or cid == "" or not np.isfinite(t) or t < 0 or kind not in EVENT_KINDS:
-            rejected += 1
-            continue
-        events.append(GameEvent(cid, t, kind))
+        if cid and math.isfinite(t) and t >= 0 and kind in EVENT_KINDS:
+            events.append(GameEvent(cid, t, kind))
     log = TransactionLog(events=events).sorted()
-    return IngestResult(log=log, rejected_rows=rejected, total_rows=total)
+    return IngestResult(log=log, rejected_rows=total - len(events), total_rows=total)
 
 
 def write_transaction_csv(log: TransactionLog, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["customer_id", "timestamp", "value"])
-        for r in log.records:
-            w.writerow([r.customer_id, repr(r.timestamp), repr(r.value)])
+    rows = ([r.customer_id, repr(r.timestamp), repr(r.value)] for r in log.records)
+    write_csv(path, ["customer_id", "timestamp", "value"], rows)
 
 
 def write_event_csv(log: TransactionLog, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["customer_id", "timestamp", "event_kind"])
-        for e in log.events:
-            w.writerow([e.customer_id, repr(e.timestamp), e.kind])
+    rows = ([e.customer_id, repr(e.timestamp), e.kind] for e in log.events)
+    write_csv(path, ["customer_id", "timestamp", "event_kind"], rows)
 
 
 def rfm_summary(log: TransactionLog, observation_end: float) -> list[RFMSummary]:
@@ -227,28 +235,23 @@ def summary_arrays(summaries: Sequence[RFMSummary]):
     return x, t_x, T, m
 
 
+SUMMARY_COLUMNS = ("customer_id", "frequency", "recency", "T", "monetary_value")
+
+
 def write_summary_csv(summaries: Sequence[RFMSummary], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["customer_id", "frequency", "recency", "T", "monetary_value"])
-        for s in summaries:
-            w.writerow([s.customer_id, s.frequency, repr(s.recency), repr(s.age), repr(s.monetary_value)])
+    rows = ([s.customer_id, s.frequency, repr(s.recency), repr(s.age), repr(s.monetary_value)] for s in summaries)
+    write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def read_summary_csv(path) -> list[RFMSummary]:
-    out = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                RFMSummary(
-                    customer_id=row["customer_id"],
-                    frequency=int(row["frequency"]),
-                    recency=float(row["recency"]),
-                    age=float(row["T"]),
-                    monetary_value=float(row["monetary_value"]),
-                )
-            )
-    return out
+        try:
+            return [
+                RFMSummary(cid, int(x), float(t_x), float(age), float(m))
+                for cid, x, t_x, age, m in read_columns(fh, SUMMARY_COLUMNS)
+            ]
+        except (TypeError, ValueError) as e:
+            raise DataError(f"malformed cell in {path}: {e}") from None
 
 
 def split_calibration_holdout(log: TransactionLog, cutoff: float) -> tuple[TransactionLog, TransactionLog]:

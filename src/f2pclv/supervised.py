@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import TransactionLog
+from .data import TransactionLog, read_columns, write_csv
 from .errors import DataError
 from .forest import FittedForest, ForestConfig, fit_random_forest
 from .forest import predict as forest_predict
@@ -135,32 +135,38 @@ def extract_features(
     )
 
 
-def write_feature_csv(dataset: ExtractedDataset, path, target_name: str = "future_revenue") -> None:
+def write_feature_csv(dataset: ExtractedDataset, path) -> None:
     fm = dataset.features
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(("player_id",) + fm.columns + (target_name, "future_purchases")) + "\n")
-        for i, pid in enumerate(fm.player_ids):
-            cells = [pid] + [repr(float(v)) for v in fm.values[i]]
-            cells += [repr(float(dataset.targets[i])), repr(float(dataset.purchase_counts[i]))]
-            fh.write(",".join(cells) + "\n")
+    table = np.column_stack([fm.values, dataset.targets, dataset.purchase_counts]).tolist()
+    rows = ([pid, *map(repr, cells)] for pid, cells in zip(fm.player_ids, table))
+    write_csv(path, ("player_id",) + fm.columns + ("future_revenue", "future_purchases"), rows)
 
 
-def read_feature_csv(path, target_name: str = "future_revenue") -> ExtractedDataset:
-    import csv
-
+def read_feature_csv(path) -> ExtractedDataset:
+    """Read a file written by `write_feature_csv`; a file without a
+    future_purchases column reads as zero purchase counts."""
+    columns = ("player_id",) + FEATURE_COLUMNS + ("future_revenue", "future_purchases")
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        try:
+            rows = list(read_columns(fh, columns))
+        except DataError:  # read again without the counts; a column still missing raises
+            fh.seek(0)
+            rows = [cells + ["0"] for cells in read_columns(fh, columns[:-1])]
     if not rows:
         raise DataError(f"no feature rows in {path}")
-    values = np.array([[float(r[c]) for c in FEATURE_COLUMNS] for r in rows])
+    n = len(FEATURE_COLUMNS)
+    try:
+        values = np.array([[float(c) for c in cells[1 : n + 1]] for cells in rows])
+        targets = np.array([float(cells[n + 1]) for cells in rows])
+        counts = np.array([float(cells[n + 2]) for cells in rows])
+    except (TypeError, ValueError) as e:
+        raise DataError(f"malformed cell in {path}: {e}") from None
     features = FeatureMatrix(
         columns=FEATURE_COLUMNS,
-        kinds=("continuous",) * len(FEATURE_COLUMNS),
+        kinds=("continuous",) * n,
         values=values,
-        player_ids=tuple(r["player_id"] for r in rows),
+        player_ids=tuple(cells[0] for cells in rows),
     )
-    targets = np.array([float(r[target_name]) for r in rows])
-    counts = np.array([float(r.get("future_purchases", 0.0)) for r in rows])
     return ExtractedDataset(features=features, targets=targets, purchase_counts=counts, n_excluded=0)
 
 

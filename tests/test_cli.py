@@ -245,6 +245,43 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+_FEATURE_HEADER = "player_id,number_of_sessions,number_of_days,number_of_purchases,total_purchase_amount,future_revenue\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["fit", "--model", "pareto_nbd"], "customer_id,frequency,recency,monetary_value\nc1,1,2.0,3.0\n"),
+        (["fit", "--model", "pareto_nbd"], "customer_id,frequency,recency,T,monetary_value\nc1,x,2.0,10.0,3.0\n"),
+        (["evaluate"], _FEATURE_HEADER + "p1,1.0,1.0,0.0,0.0,0.0\n"),
+        (["fit", "--model", "retention"], "day,fraction\n0,1.0\n1,half\n"),
+    ],
+    ids=["summaries_without_T", "non_numeric_frequency", "features_without_rounds", "non_numeric_curve"],
+)
+def test_malformed_input_csv_is_data_error(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code = main(command + ["--input", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_malformed_revenue_csv_is_data_error(tmp_path, capsys):
+    artifact = art.ModelArtifact(
+        model_kind="monetization",
+        parameters={"knot_days": [0.0, 10.0], "knot_fractions": [0.5, 1.0]},
+    )
+    art.save_artifact(artifact, tmp_path / "mon.json")
+    revenue = tmp_path / "rev.csv"
+    revenue.write_text("customer_id,revenue\nc1,5.0\nc2,n/a\n")
+    code = main([
+        "predict", "--artifact", str(tmp_path / "mon.json"), "--input", str(revenue),
+        "--horizon", "30", "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 2
+    assert str(revenue) in capsys.readouterr().err
+
+
 def test_artifact_schema_version_checked(workspace, tmp_path, capsys):
     blob = json.loads((workspace / "bg.json").read_text())
     blob["schema_version"] = 99
@@ -265,3 +302,10 @@ def test_ingest_reports_rejects(tmp_path, capsys):
     assert main(["ingest", "--transactions", str(raw), "--out-dir", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "2 kept" in out and "2 rejected" in out
+
+
+def test_ingest_keeps_line_break_inside_quoted_id(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b'customer_id,timestamp,value\r\n"a\r\nb",1.0,2.0\r\n')
+    assert main(["ingest", "--transactions", str(raw), "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "transactions.csv").read_bytes() == raw.read_bytes()

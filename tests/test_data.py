@@ -75,6 +75,33 @@ class TestParsing:
         assert len(result.log.events) == 1
         assert result.rejected_rows == 1
 
+    def test_blank_lines_skipped_and_not_counted(self):
+        src = "customer_id,timestamp,value\n\na,0,5\n\n\nb,1,2\n\n"
+        result = parse_transaction_log(src)
+        assert len(result.log.records) == 2
+        assert (result.total_rows, result.rejected_rows) == (2, 0)
+
+    @pytest.mark.parametrize("iso_dates", [False, True])
+    def test_short_row_rejected_and_counted(self, iso_dates):
+        first = "1970-01-01" if iso_dates else "0"
+        src = f"customer_id,timestamp,value\na,{first},5\nb,1970-01-02\nc\n"
+        result = parse_transaction_log(src, ColumnMapping(iso_dates=iso_dates))
+        assert result.log.records == [Transaction("a", 0.0, 5.0)]
+        assert (result.total_rows, result.rejected_rows) == (3, 2)
+        events = parse_event_log("customer_id,timestamp,event_kind\na,0,purchase\nb,1\n")
+        assert (events.total_rows, events.rejected_rows) == (2, 1)
+
+    def test_extra_trailing_cells_ignored(self):
+        src = "customer_id,timestamp,value\na,0,5,extra,cells\n"
+        result = parse_transaction_log(src)
+        assert result.log.records == [Transaction("a", 0.0, 5.0)]
+        assert result.rejected_rows == 0
+
+    def test_mapped_column_named_twice_reads_last_occurrence(self):
+        src = "value,customer_id,timestamp,value\n1,a,0,5\n"
+        result = parse_transaction_log(src)
+        assert result.log.records == [Transaction("a", 0.0, 5.0)]
+
     def test_simulator_emitter_round_trip(self, tmp_path):
         config = SimConfig(
             n_customers=60,

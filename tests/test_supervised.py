@@ -1,5 +1,7 @@
 """Feature extraction, regression SMOTE-NC, three-stage composite, k-fold."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from f2pclv.forest import ForestConfig, fit_random_forest
 from f2pclv.forest import predict as forest_predict
 from f2pclv.simulate import SimConfig, simulate_pareto_nbd_cohort
 from f2pclv.supervised import (
+    FEATURE_COLUMNS,
+    ExtractedDataset,
     FeatureMatrix,
     ForestRegressor,
     SmoteConfig,
@@ -17,7 +21,9 @@ from f2pclv.supervised import (
     extract_features,
     fit_three_stage,
     predict_three_stage,
+    read_feature_csv,
     smote_nc_regression,
+    write_feature_csv,
 )
 
 
@@ -110,6 +116,36 @@ def _mixed_features(n, seed, payer_rate=0.1):
         player_ids=tuple(f"p{i}" for i in range(n)),
     )
     return fm, y
+
+
+class TestFeatureCsv:
+    def test_round_trip_with_comma_and_quote_in_ids(self, tmp_path):
+        values = np.array([[1.0, 2.0, 1.0, 0.0, 0.0], [3.0, 5.0, 2.0, 1.0, 4.5]])
+        dataset = ExtractedDataset(
+            features=FeatureMatrix(FEATURE_COLUMNS, ("continuous",) * 5, values, ("p,1", 'q"2')),
+            targets=np.array([0.0, 12.25]),
+            purchase_counts=np.array([0.0, 3.0]),
+            n_excluded=0,
+        )
+        path = tmp_path / "features.csv"
+        write_feature_csv(dataset, path)
+        back = read_feature_csv(path)
+        assert back.features.player_ids == ("p,1", 'q"2')
+        assert np.array_equal(back.features.values, values)
+        assert np.array_equal(back.targets, dataset.targets)
+        assert np.array_equal(back.purchase_counts, dataset.purchase_counts)
+
+        # A file without the future_purchases column reads as zero counts.
+        no_counts = tmp_path / "no_counts.csv"
+        with open(no_counts, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(("player_id",) + FEATURE_COLUMNS + ("future_revenue",))
+            w.writerows([pid, *row, y] for pid, row, y in zip(("p,1", 'q"2'), values, dataset.targets))
+        back = read_feature_csv(no_counts)
+        assert back.features.player_ids == ("p,1", 'q"2')
+        assert np.array_equal(back.features.values, values)
+        assert np.array_equal(back.targets, dataset.targets)
+        assert np.array_equal(back.purchase_counts, np.zeros(2))
 
 
 class TestSmote:
