@@ -115,12 +115,12 @@ def _pareto_tail_term(r, alpha, s, beta, x, t):
     return log_f - rsx * np.log(q)
 
 
-def _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2):
+def _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2, gammaln_rx):
     """Pareto/NBD log-likelihood from the tail terms at recency (term1) and
-    at age (term2); returns (ll, log_alive, log_dead)."""
+    at age (term2) and gammaln(r + x); returns (ll, log_alive, log_dead)."""
     # term1 >= term2 always (t_x <= T and the series is increasing in z)
     log_a0 = term1 + _log1mexp(np.minimum(term2 - term1, 0.0))
-    log_base = gammaln(r + x) - gammaln(r) + r * np.log(alpha) + s * np.log(beta)
+    log_base = gammaln_rx - gammaln(r) + r * np.log(alpha) + s * np.log(beta)
     log_alive = -(r + x) * np.log(alpha + T) - s * np.log(beta + T)
     log_dead = np.log(s) - np.log(r + s + x) + log_a0
     return log_base + np.logaddexp(log_alive, log_dead), log_alive, log_dead
@@ -129,7 +129,7 @@ def _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2):
 def _pareto_loglik_arrays(r, alpha, s, beta, x, t_x, T):
     term1 = _pareto_tail_term(r, alpha, s, beta, x, t_x)
     term2 = _pareto_tail_term(r, alpha, s, beta, x, T)
-    return _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2)
+    return _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2, gammaln(r + x))
 
 
 def pareto_nbd_loglik(params: ParetoNBDParams, frequency, recency, age):
@@ -150,26 +150,38 @@ def _pareto_p_alive_arrays(r, alpha, s, beta, x, t_x, T):
     return expit(-(log_dead - log_alive)), ll
 
 
-def _pareto_expected_arrays(params, x, t_x, T, horizon):
+def _pareto_expected_arrays(params, x, t_x, T):
+    """Pareto/NBD conditional expected purchases in (T, T + h] as a
+    per-customer factor, p_alive (r+x)(beta+T)/(alpha+T), and a function of
+    (x, T, h) giving the horizon factor, the growth term, which has no 2F1."""
     r, alpha, s, beta = params.r, params.alpha, params.s, params.beta
     p_alive, _ = _pareto_p_alive_arrays(r, alpha, s, beta, x, t_x, T)
-    rho = (beta + T) / (beta + T + horizon)
-    if abs(s - 1.0) < 1e-8:
-        growth = np.log(1.0 / rho)
-    else:
-        growth = (1.0 - rho ** (s - 1.0)) / (s - 1.0)
-    return (r + x) * (beta + T) / (alpha + T) * growth * p_alive
+
+    def horizon_factor(x, T, h):
+        rho = (beta + T) / (beta + T + h)
+        if abs(s - 1.0) < 1e-8:
+            return np.log(1.0 / rho)
+        return (1.0 - rho ** (s - 1.0)) / (s - 1.0)
+
+    return p_alive * (r + x) * (beta + T) / (alpha + T), horizon_factor
 
 
 # ---------------------------------------------------------------------------
 # BG/NBD
 
 
-def _bg_loglik_arrays(r, alpha, a, b, x, t_x, T):
-    log_base = (
+def _bg_log_base(r, alpha, a, b, x):
+    """The BG/NBD log-likelihood terms that depend on x alone."""
+    return (
         gammaln(r + x) - gammaln(r) + r * np.log(alpha)
         + gammaln(a + b) + gammaln(b + x) - gammaln(b) - gammaln(a + b + x)
     )
+
+
+def _bg_log_alive_dead(r, alpha, a, b, x, t_x, T):
+    """(log_alive, log_dead): the BG/NBD likelihood of the history for a
+    customer still alive at T and for one who dropped out at t_x, less the
+    terms of _bg_log_base."""
     log_alive = -(r + x) * np.log(alpha + T)
     repeat = x > 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -178,36 +190,41 @@ def _bg_loglik_arrays(r, alpha, a, b, x, t_x, T):
             np.log(a) - np.log(np.where(repeat, b + x - 1.0, 1.0)) - (r + x) * np.log(alpha + t_x),
             -np.inf,
         )
-    return log_base + np.logaddexp(log_alive, log_dead), log_alive, log_dead
+    return log_alive, log_dead
 
 
 def bg_nbd_loglik(params: BGNBDParams, frequency, recency, age):
     """Individual log-likelihood of (x, t_x, T) under BG/NBD."""
     x, t_x, T = _as_arrays(frequency, recency, age)
     _validate_summary(x, t_x, T)
-    ll, _, _ = _bg_loglik_arrays(params.r, params.alpha, params.a, params.b, x, t_x, T)
+    r, alpha, a, b = params.r, params.alpha, params.a, params.b
+    ll = _bg_log_base(r, alpha, a, b, x) + np.logaddexp(*_bg_log_alive_dead(r, alpha, a, b, x, t_x, T))
     if not np.all(np.isfinite(ll)):
         raise NumericalError(f"non-finite BG/NBD log-likelihood at params={params}")
     return _scalar_like(ll, frequency, recency, age)
 
 
-def _bg_expected_arrays(params, x, t_x, T, horizon):
+def _bg_expected_arrays(params, x, t_x, T):
+    """BG/NBD conditional expected purchases in (T, T + h] as a per-customer
+    factor, (a+b+x-1)/(a-1)/(1+odds), and a function of (x, T, h) giving the
+    horizon factor, one 2F1 call over all its cells."""
     r, alpha, a, b = params.r, params.alpha, params.a, params.b
     if abs(a - 1.0) < 1e-9:
         a = 1.0 + 1e-9  # the closed form has a removable singularity at a = 1
-    z = horizon / (alpha + T + horizon)
-    sign, log_f = log_hyp2f1(r + x, b + x, a + b + x - 1.0, z)
-    hyp = sign * np.exp(log_f)
-    numerator = (a + b + x - 1.0) / (a - 1.0) * (
-        1.0 - hyp * ((alpha + T) / (alpha + T + horizon)) ** (r + x)
-    )
     repeat = x > 0
     odds = np.where(
         repeat,
         a / np.where(repeat, b + x - 1.0, 1.0) * ((alpha + T) / (alpha + t_x)) ** (r + x),
         0.0,
     )
-    return numerator / (1.0 + odds)
+
+    def horizon_factor(x, T, h):
+        sign, log_f = log_hyp2f1(r + x, b + x, a + b + x - 1.0, h / (alpha + T + h))
+        # one exp of the summed logs: for heavy buyers over long horizons the
+        # 2F1 overflows while the power term underflows
+        return 1.0 - sign * np.exp(log_f - (r + x) * np.log1p(h / (alpha + T)))
+
+    return (a + b + x - 1.0) / (a - 1.0) / (1.0 + odds), horizon_factor
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +242,41 @@ def p_alive(params: ParetoNBDParams | BGNBDParams, frequency, recency, age):
     if isinstance(params, ParetoNBDParams):
         prob, _ = _pareto_p_alive_arrays(params.r, params.alpha, params.s, params.beta, x, t_x, T)
     elif isinstance(params, BGNBDParams):
-        _, log_alive, log_dead = _bg_loglik_arrays(params.r, params.alpha, params.a, params.b, x, t_x, T)
+        log_alive, log_dead = _bg_log_alive_dead(params.r, params.alpha, params.a, params.b, x, t_x, T)
         prob = np.where(x > 0, expit(-(log_dead - log_alive)), 1.0)
     else:
         raise DataError(f"p_alive is undefined for {type(params).__name__}")
     return _scalar_like(prob, frequency, recency, age)
+
+
+# Cells of one (customer x horizon) block of expected transactions: the
+# 2F1 series keeps several working copies of its rows, so an unblocked
+# cohort-sized grid would multiply peak memory
+_GRID_CELLS = 2**16
+
+
+def _expected_blocks(params, x, t_x, T, horizons):
+    """Yield (rows, grid) over blocks of customers, where grid[i, k] is the
+    conditional expected number of repeat purchases of customer rows[i] in
+    (T, T + horizons[k]], clamped at 0.
+
+    The per-customer factor is computed once over all customers; the horizon
+    factor over each block's (customer x horizon) grid.
+    """
+    if isinstance(params, ParetoNBDParams):
+        factors = _pareto_expected_arrays
+    elif isinstance(params, BGNBDParams):
+        factors = _bg_expected_arrays
+    else:
+        raise DataError(f"expected_transactions is undefined for {type(params).__name__}")
+    per_customer, horizon_factor = factors(params, x, t_x, T)
+    block = max(1, _GRID_CELLS // max(horizons.size, 1))
+    for start in range(0, x.size, block):
+        rows = slice(start, start + block)
+        grid = per_customer[rows, None] * horizon_factor(x[rows, None], T[rows, None], horizons)
+        if not np.all(np.isfinite(grid)):
+            raise NumericalError(f"non-finite expected transactions at params={params}")
+        yield rows, np.maximum(grid, 0.0)
 
 
 def expected_transactions(params: ParetoNBDParams | BGNBDParams, frequency, recency, age, horizon: float):
@@ -238,17 +285,10 @@ def expected_transactions(params: ParetoNBDParams | BGNBDParams, frequency, rece
         raise DataError("horizon must be >= 0")
     x, t_x, T = _as_arrays(frequency, recency, age)
     _validate_summary(x, t_x, T)
-    if horizon == 0:
-        out = np.zeros_like(x)
-    elif isinstance(params, ParetoNBDParams):
-        out = _pareto_expected_arrays(params, x, t_x, T, horizon)
-    elif isinstance(params, BGNBDParams):
-        out = _bg_expected_arrays(params, x, t_x, T, horizon)
-    else:
-        raise DataError(f"expected_transactions is undefined for {type(params).__name__}")
-    if not np.all(np.isfinite(out)):
-        raise NumericalError(f"non-finite expected transactions at params={params}")
-    return _scalar_like(np.maximum(out, 0.0), frequency, recency, age)
+    out = np.empty_like(x)
+    for rows, grid in _expected_blocks(params, x, t_x, T, np.array([float(horizon)])):
+        out[rows] = grid[:, 0]
+    return _scalar_like(out, frequency, recency, age)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +410,13 @@ def fit_pareto_nbd(
     # (x, t_x) or (x, T) pair, in one call; (x, T) pairs repeat far more
     (tail_x, tail_t), _, tail_index = _distinct_rows(np.concatenate([x, x]), np.concatenate([t_x, T]))
     at_recency, at_age = tail_index[: x.size], tail_index[x.size :]
+    x_values, at_x = np.unique(x, return_inverse=True)
 
     def loglik(vec):
         r, alpha, s, beta = vec
         tail = _pareto_tail_term(r, alpha, s, beta, tail_x, tail_t)
-        ll, _, _ = _pareto_loglik_terms(r, alpha, s, beta, x, T, tail[at_recency], tail[at_age])
+        gammaln_rx = gammaln(r + x_values)[at_x]
+        ll, _, _ = _pareto_loglik_terms(r, alpha, s, beta, x, T, tail[at_recency], tail[at_age], gammaln_rx)
         return counts @ ll
 
     return _fit(loglik, x0, penalizer, restarts, seed, lambda v: ParetoNBDParams(*v))
@@ -401,10 +443,13 @@ def fit_bg_nbd(
         x0 = np.array([1.0, 1.0 / mean_rate, 1.0, 2.0])
 
     (x, t_x, T), counts, _ = _distinct_rows(x, t_x, T)
+    # a cohort has far fewer distinct x than distinct rows
+    x_values, at_x = np.unique(x, return_inverse=True)
 
     def loglik(vec):
-        ll, _, _ = _bg_loglik_arrays(vec[0], vec[1], vec[2], vec[3], x, t_x, T)
-        return counts @ ll
+        r, alpha, a, b = vec
+        log_base = _bg_log_base(r, alpha, a, b, x_values)[at_x]
+        return counts @ (log_base + np.logaddexp(*_bg_log_alive_dead(r, alpha, a, b, x, t_x, T)))
 
     return _fit(loglik, x0, penalizer, restarts, seed, lambda v: BGNBDParams(*v))
 
@@ -460,8 +505,14 @@ def discounted_clv(
     """Per-customer discounted CLV over `horizon` days.
 
     Expected incremental transactions per period times the conditional
-    expected spend, discounted per period at `discount_rate`.
+    expected spend, discounted per period at `discount_rate`. The expected
+    cumulative transactions at the ends of all periods k * period are one
+    (customer x period) grid: the per-customer factor (p_alive and its 2F1
+    calls under Pareto/NBD) is computed once, and the horizon factor (one
+    2F1 call per block of customers under BG/NBD) once for all periods.
     """
+    if horizon < 0:
+        raise DataError("horizon must be >= 0")
     if discount_rate < 0:
         raise DataError("discount_rate must be >= 0")
     if period <= 0:
@@ -469,17 +520,15 @@ def discounted_clv(
     n_periods = horizon / period
     if abs(n_periods - round(n_periods)) > 1e-9:
         raise DataError("horizon must be a whole number of periods")
-    n_periods = int(round(n_periods))
+    k = np.arange(1, int(round(n_periods)) + 1, dtype=float)
     x, t_x, T, m = summary_arrays(summaries)
-    value = conditional_expected_value(spend_params, x, m)
-    value = np.atleast_1d(value)
+    _validate_summary(x, t_x, T)
+    value = np.atleast_1d(conditional_expected_value(spend_params, x, m))
+    discount = (1.0 + discount_rate) ** -k
     clv = np.zeros_like(x)
-    prev = np.zeros_like(x)
-    for k in range(1, n_periods + 1):
-        cumulative = np.atleast_1d(expected_transactions(purchase_params, x, t_x, T, k * period))
-        clv += (cumulative - prev) * value / (1.0 + discount_rate) ** k
-        prev = cumulative
-    return clv
+    for rows, cumulative in _expected_blocks(purchase_params, x, t_x, T, k * period):
+        clv[rows] = (np.diff(cumulative, axis=1, prepend=0.0) * discount).sum(axis=1)
+    return clv * value
 
 
 @dataclass

@@ -96,6 +96,10 @@ class ColumnMapping:
     delimiter: str = ","
     iso_dates: bool = False
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise DataError(f"delimiter must be a single character, got {self.delimiter!r}")
+
 
 @dataclass
 class IngestResult:

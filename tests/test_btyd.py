@@ -8,11 +8,13 @@ likelihood recovers the generating parameters.
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 from scipy.special import gammaln
 
+from f2pclv import btyd
 from f2pclv.btyd import (
     BGNBDParams,
     GammaGammaParams,
@@ -30,9 +32,10 @@ from f2pclv.btyd import (
     pareto_nbd_loglik,
 )
 from f2pclv.cohort import BasicCLVConfig, basic_clv
-from f2pclv.data import rfm_summary, split_calibration_holdout, summaries_from_arrays
+from f2pclv.data import rfm_summary, split_calibration_holdout, summaries_from_arrays, summary_arrays
 from f2pclv.errors import DataError
 from f2pclv.simulate import SimConfig, simulate_bg_nbd_cohort, simulate_pareto_nbd_cohort
+from f2pclv.special import log_hyp2f1
 
 
 def _total_probability(loglik, params, T, x_max=60, grid=1501):
@@ -201,6 +204,22 @@ class TestExpectedTransactions:
             for k in range(3)
         )
         assert partial == pytest.approx(total, abs=1e-6)
+
+    @pytest.mark.parametrize("x,horizon", [(300, 3650.0), (3000, 36500.0), (3, 90.0)])
+    def test_bg_heavy_buyer_long_horizon_matches_mpmath(self, x, horizon):
+        # at the first two the 2F1 passes double range while the power term
+        # that multiplies it underflows
+        r, alpha, a, b = 0.4, 8.0, 0.8, 2.5
+        t_x, T = 364.0, 365.0
+        with mpmath.workdps(40):
+            X = mpmath.mpf(x)
+            odds = a / (b + X - 1) * (mpmath.mpf(alpha + T) / (alpha + t_x)) ** (r + X)
+            growth = 1 - (mpmath.mpf(alpha + T) / (alpha + T + horizon)) ** (r + X) * mpmath.hyp2f1(
+                r + X, b + X, a + b + X - 1, mpmath.mpf(horizon) / (alpha + T + horizon)
+            )
+            reference = float((a + b + X - 1) / (a - 1) * growth / (1 + odds))
+        got = expected_transactions(BGNBDParams(r, alpha, a, b), x, t_x, T, horizon)
+        assert got == pytest.approx(reference, rel=1e-9)
 
     def test_pareto_s_near_one_limit(self):
         near = ParetoNBDParams(0.5, 10.0, 1.0 + 1e-12, 12.0)
@@ -441,6 +460,79 @@ class TestCLVComposition:
         purchase, spend = self._models()
         with pytest.raises(DataError):
             discounted_clv(purchase, spend, self._summaries(), 10.5, 0.01, period=7.0)
+
+    def test_negative_horizon_raises(self):
+        purchase, spend = self._models()
+        with pytest.raises(DataError, match="horizon must be >= 0"):
+            discounted_clv(purchase, spend, self._summaries(), -14.0, 0.01, period=7.0)
+
+    def test_invalid_summary_raises_at_any_horizon(self):
+        purchase, spend = self._models()
+        bad = summaries_from_arrays([2], [40.0], [30.0], [10.0])  # recency beyond age
+        for horizon in (0.0, 84.0):
+            with pytest.raises(DataError, match="summaries must satisfy"):
+                discounted_clv(purchase, spend, bad, horizon, 0.01, period=7.0)
+
+    # both families at parameters with a far from 1 and s far from 1
+    FAMILIES = [ParetoNBDParams(0.5, 10.0, 0.6, 12.0), BGNBDParams(0.4, 8.0, 0.8, 2.5)]
+
+    def _cohort(self, n, seed=3):
+        rng = np.random.default_rng(seed)
+        T = rng.uniform(30.0, 365.0, n)
+        x = rng.poisson(rng.gamma(0.5, 0.1, n) * T).astype(float)
+        t_x = np.where(x > 0, T * rng.uniform(0.0, 1.0, n), 0.0)
+        m = np.where(x > 0, rng.gamma(6.0, 3.0, n), 0.0)
+        return summaries_from_arrays(x, t_x, T, m)
+
+    @pytest.mark.parametrize("purchase", FAMILIES, ids=["pareto_nbd", "bg_nbd"])
+    @pytest.mark.parametrize("n_periods,period", [(12, 7.0), (180, 1.0)])
+    def test_equals_period_loop_of_expected_transactions(self, purchase, n_periods, period):
+        _, spend = self._models()
+        summaries = self._cohort(400)
+        x, t_x, T, m = summary_arrays(summaries)
+        value = conditional_expected_value(spend, x, m)
+        reference = np.zeros_like(x)
+        previous = np.zeros_like(x)
+        for k in range(1, n_periods + 1):
+            cumulative = expected_transactions(purchase, x, t_x, T, k * period)
+            reference += (cumulative - previous) * value / 1.01**k
+            previous = cumulative
+        clv = discounted_clv(purchase, spend, summaries, n_periods * period, 0.01, period)
+        assert np.all(reference > 0)
+        np.testing.assert_allclose(clv, reference, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("purchase", FAMILIES, ids=["pareto_nbd", "bg_nbd"])
+    def test_one_customer_call_equals_batch(self, purchase):
+        _, spend = self._models()
+        n_periods = 180
+        # more customers than one block of the (customer x period) grid holds
+        summaries = self._cohort(2 * btyd._GRID_CELLS // n_periods + 7)
+        batch = discounted_clv(purchase, spend, summaries, float(n_periods), 0.01)
+        online = [discounted_clv(purchase, spend, [s], float(n_periods), 0.01)[0] for s in summaries]
+        assert np.array_equal(online, batch)
+
+    def _count_2f1_calls(self, monkeypatch, *args, **kwargs):
+        calls = []
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return log_hyp2f1(*a, **kw)
+
+        monkeypatch.setattr(btyd, "log_hyp2f1", counting)
+        discounted_clv(*args, **kwargs)
+        return len(calls)
+
+    def test_pareto_2f1_calls_do_not_grow_with_periods(self, monkeypatch):
+        _, spend = self._models()
+        purchase, summaries = self.FAMILIES[0], self._cohort(400)
+        twelve = self._count_2f1_calls(monkeypatch, purchase, spend, summaries, 84.0, 0.01, period=7.0)
+        many = self._count_2f1_calls(monkeypatch, purchase, spend, summaries, 180.0, 0.01, period=1.0)
+        assert twelve == many > 0
+
+    def test_one_customer_bg_makes_one_2f1_call(self, monkeypatch):
+        _, spend = self._models()
+        summary = self._summaries()[2:3]
+        assert self._count_2f1_calls(monkeypatch, self.FAMILIES[1], spend, summary, 84.0, 0.01, period=7.0) == 1
 
 
 class TestLifetimeDuration:

@@ -304,6 +304,17 @@ def test_ingest_reports_rejects(tmp_path, capsys):
     assert "2 kept" in out and "2 rejected" in out
 
 
+@pytest.mark.parametrize("delimiter", [";;", ""])
+def test_ingest_delimiter_must_be_one_character(tmp_path, capsys, delimiter):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("customer_id;timestamp;value\na;0;5\n")
+    code = main([
+        "ingest", "--transactions", str(raw), "--delimiter", delimiter, "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "delimiter must be a single character" in capsys.readouterr().err
+
+
 def test_ingest_keeps_line_break_inside_quoted_id(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_bytes(b'customer_id,timestamp,value\r\n"a\r\nb",1.0,2.0\r\n')
