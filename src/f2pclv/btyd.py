@@ -21,7 +21,7 @@ from scipy.special import betaln, expit, gammaln
 
 from .data import RFMSummary, summary_arrays
 from .errors import DataError, NumericalError
-from .fitting import DEFAULT_RESTARTS, MAX_EVALS, minimize_multistart
+from .fitting import DEFAULT_RESTARTS, minimize_multistart
 from .special import log_hyp2f1
 
 
@@ -70,6 +70,7 @@ class FitResult:
     n_evaluations: int
     converged: bool
     penalizer: float
+    n_starts: int = 1
 
 
 def _as_arrays(*values):
@@ -158,10 +159,12 @@ def _pareto_expected_arrays(params, x, t_x, T):
     p_alive, _ = _pareto_p_alive_arrays(r, alpha, s, beta, x, t_x, T)
 
     def horizon_factor(x, T, h):
-        rho = (beta + T) / (beta + T + h)
+        # (1 - rho^(s-1)) / (s-1), rho = (beta+T)/(beta+T+h), without the
+        # cancellation of 1 - rho^(s-1) at short horizons
+        log_growth = np.log1p(h / (beta + T))
         if abs(s - 1.0) < 1e-8:
-            return np.log(1.0 / rho)
-        return (1.0 - rho ** (s - 1.0)) / (s - 1.0)
+            return log_growth
+        return -np.expm1(-(s - 1.0) * log_growth) / (s - 1.0)
 
     return p_alive * (r + x) * (beta + T) / (alpha + T), horizon_factor
 
@@ -337,11 +340,6 @@ def conditional_expected_value(params: GammaGammaParams, frequency, monetary_val
 # Fitting
 
 
-# Log-parameters beyond this are numerically meaningless for any of the
-# models here and only feed overflow; the objective walls them off.
-_LOG_PARAM_BOUND = 50.0
-
-
 def _distinct_rows(*columns):
     """The distinct rows of equal-length columns, as (columns, counts,
     inverse) with columns[i][inverse] giving back the input.
@@ -356,32 +354,30 @@ def _distinct_rows(*columns):
     return tuple(rows.T), counts.astype(float), inverse.ravel()
 
 
-def _fit(loglik_fn, x0, penalizer, restarts, seed, builder, max_evals=MAX_EVALS):
-    """Maximize loglik_fn(params), the cohort's total log-likelihood."""
+def _fit(loglik_fn, n_customers, x0, penalizer, restarts, seed, builder):
+    """Maximize loglik_fn(params), the cohort's total log-likelihood. The
+    optimizer sees the penalized NLL per customer; FitResult.nll is the total."""
     if penalizer < 0:
         raise DataError("penalizer must be >= 0")
 
     def objective(theta):
-        if np.any(np.abs(theta) > _LOG_PARAM_BOUND):
-            return np.inf
         vec = np.exp(theta)
         with np.errstate(all="ignore"):
             try:
                 total = float(loglik_fn(vec))
             except (NumericalError, FloatingPointError):
                 return np.inf
-        if not np.isfinite(total):
-            return np.inf
-        return -total + penalizer * float(np.sum(vec**2))
+        return (-total + penalizer * float(np.sum(vec**2))) / n_customers
 
-    res = minimize_multistart(objective, np.log(x0), restarts=restarts, seed=seed, max_evals=max_evals)
+    res = minimize_multistart(objective, np.log(x0), restarts=restarts, seed=seed)
     params = builder([float(v) for v in np.exp(res.x)])
     return FitResult(
         params=params,
-        nll=res.fun,
+        nll=res.fun * n_customers,
         n_evaluations=res.n_evals,
         converged=res.converged,
         penalizer=penalizer,
+        n_starts=res.n_starts,
     )
 
 
@@ -419,7 +415,7 @@ def fit_pareto_nbd(
         ll, _, _ = _pareto_loglik_terms(r, alpha, s, beta, x, T, tail[at_recency], tail[at_age], gammaln_rx)
         return counts @ ll
 
-    return _fit(loglik, x0, penalizer, restarts, seed, lambda v: ParetoNBDParams(*v))
+    return _fit(loglik, len(summaries), x0, penalizer, restarts, seed, lambda v: ParetoNBDParams(*v))
 
 
 def fit_bg_nbd(
@@ -451,7 +447,7 @@ def fit_bg_nbd(
         log_base = _bg_log_base(r, alpha, a, b, x_values)[at_x]
         return counts @ (log_base + np.logaddexp(*_bg_log_alive_dead(r, alpha, a, b, x, t_x, T)))
 
-    return _fit(loglik, x0, penalizer, restarts, seed, lambda v: BGNBDParams(*v))
+    return _fit(loglik, len(summaries), x0, penalizer, restarts, seed, lambda v: BGNBDParams(*v))
 
 
 def fit_gamma_gamma(
@@ -487,7 +483,7 @@ def fit_gamma_gamma(
         p, q, g = vec
         return np.sum(_gamma_gamma_loglik_arrays(p, q, g, x, m, betaln(p * x_values, q)[at_x]))
 
-    return _fit(loglik, x0, penalizer, restarts, seed, lambda v: GammaGammaParams(*v))
+    return _fit(loglik, x.size, x0, penalizer, restarts, seed, lambda v: GammaGammaParams(*v))
 
 
 # ---------------------------------------------------------------------------

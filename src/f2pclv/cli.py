@@ -235,13 +235,14 @@ def cmd_fit(args):
         info = {
             "nll": result.nll,
             "n_evaluations": result.n_evaluations,
+            "n_starts": result.n_starts,
             "converged": result.converged,
             "penalizer": result.penalizer,
         }
         params = art.model_to_parameters(args.model, result.params, info)
         print(
             f"{args.model}: nll={result.nll:.6f} evaluations={result.n_evaluations} "
-            f"converged={result.converged}"
+            f"starts={result.n_starts} converged={result.converged}"
         )
     elif args.model == "basic":
         config = cohort.BasicCLVConfig(

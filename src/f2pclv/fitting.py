@@ -1,8 +1,12 @@
-"""Shared maximum-likelihood driver: Nelder-Mead over log-parameters.
+"""Shared maximum-likelihood optimizer: bounded L-BFGS-B over log-parameters.
 
-Parameters are optimized as logs so positivity holds by construction. The
-simplex search restarts from jittered initial points and stops early once
-additional restarts stop improving the incumbent optimum.
+Parameters are optimized as logs so positivity holds by construction, boxed
+to +-LOG_PARAM_BOUND, beyond which they only feed overflow. Gradients are
+finite differences. Callers scale the objective to O(1): unscaled, the first
+projected step of a cohort-sized NLL jumps to a corner of the box. A
+jittered restart runs only when a start fails: it did not report success,
+met a non-finite value (a line search stalled on one can pass the tolerance
+where it started), or ended with a log-parameter at a bound.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-SIMPLEX_XATOL = 1e-8
-SIMPLEX_FATOL = 1e-10
 MAX_EVALS = 10_000
 DEFAULT_RESTARTS = 5
+LOG_PARAM_BOUND = 50.0
 _JITTER = 0.3
-_EARLY_STOP = 1e-4
+# tolerances on the O(1) objective; SciPy's defaults stop gamma-gamma fits
+# up to 1e-10 relative short of the optimum
+_FTOL = 1e-12
+_GTOL = 1e-8
 
 
 @dataclass
@@ -34,54 +40,50 @@ def minimize_multistart(
     x0_log: np.ndarray,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_evals: int = MAX_EVALS,
 ) -> MultistartResult:
-    """Minimize over log-parameters from up to `restarts` jittered starts.
+    """Minimize over log-parameters from x0_log, then from up to
+    `restarts` - 1 jittered starts while every start so far has failed.
 
-    Restart k = 0 uses x0_log as-is. After two consecutive restarts fail to
-    improve the best objective by more than a small threshold the remaining
-    restarts are skipped.
+    Returns the first start that converged, else the lowest one.
+    n_evals counts every objective call, finite-difference probes included.
     """
     rng = np.random.default_rng(seed)
     x0_log = np.asarray(x0_log, dtype=float)
+    bounds = [(-LOG_PARAM_BOUND, LOG_PARAM_BOUND)] * x0_log.size
+    n_evals = 0
 
-    def safe_objective(theta):
+    def counted(theta):
+        nonlocal n_evals, met_non_finite
+        n_evals += 1
         val = objective(theta)
-        return val if np.isfinite(val) else np.inf
+        if np.isfinite(val):
+            return val
+        met_non_finite = True
+        return np.inf
 
     best = None
-    best_converged = False
-    total_evals = 0
-    stale = 0
-    starts = 0
     for k in range(restarts):
         start = x0_log if k == 0 else x0_log + rng.normal(0.0, _JITTER, x0_log.shape)
-        res = minimize(
-            safe_objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "xatol": SIMPLEX_XATOL,
-                "fatol": SIMPLEX_FATOL,
-                "maxfev": max_evals,
-                "maxiter": max_evals,
-            },
-        )
-        total_evals += res.nfev
-        starts += 1
-        if best is None or res.fun < best.fun - _EARLY_STOP:
-            if best is None or np.isfinite(res.fun):
-                best = res
-                best_converged = bool(res.success)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 2:
-                break
+        met_non_finite = False
+        # finite differences at a point valued inf take inf - inf
+        with np.errstate(invalid="ignore"):
+            res = minimize(
+                counted,
+                start,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"ftol": _FTOL, "gtol": _GTOL, "maxfun": MAX_EVALS, "maxiter": MAX_EVALS},
+            )
+        converged = bool(res.success and not met_non_finite and np.all(np.abs(res.x) < LOG_PARAM_BOUND))
+        if converged or best is None or res.fun < best[0].fun:
+            best = (res, converged)
+        if converged:
+            break
+    res, converged = best
     return MultistartResult(
-        x=np.asarray(best.x, dtype=float),
-        fun=float(best.fun),
-        n_evals=total_evals,
-        n_starts=starts,
-        converged=bool(best_converged and np.isfinite(best.fun)),
+        x=np.asarray(res.x, dtype=float),
+        fun=float(res.fun),
+        n_evals=n_evals,
+        n_starts=k + 1,
+        converged=converged,
     )

@@ -221,6 +221,23 @@ class TestExpectedTransactions:
         got = expected_transactions(BGNBDParams(r, alpha, a, b), x, t_x, T, horizon)
         assert got == pytest.approx(reference, rel=1e-9)
 
+    @pytest.mark.parametrize("s", [0.6, 1.0, 2.5])
+    @pytest.mark.parametrize("horizon", [1e-4, 0.01, 1.0, 365.0])
+    def test_pareto_horizon_factor_matches_mpmath(self, s, horizon):
+        # (1 - rho^(s-1)) / (s-1), rho = (beta+T)/(beta+T+h); at short
+        # horizons 1 - rho^(s-1) cancels unless written with expm1/log1p
+        beta, T = 12.0, 700.0
+        params = ParetoNBDParams(0.5, 10.0, s, beta)
+        _, horizon_factor = btyd._pareto_expected_arrays(params, np.array([2.0]), np.array([300.0]), np.array([T]))
+        got = float(horizon_factor(2.0, T, horizon))
+        with mpmath.workdps(40):
+            log_growth = mpmath.log1p(mpmath.mpf(horizon) / (beta + T))
+            if s == 1.0:
+                reference = float(log_growth)
+            else:
+                reference = float(-mpmath.expm1(-(mpmath.mpf(s) - 1) * log_growth) / (mpmath.mpf(s) - 1))
+        assert got == pytest.approx(reference, rel=1e-14, abs=0.0)
+
     def test_pareto_s_near_one_limit(self):
         near = ParetoNBDParams(0.5, 10.0, 1.0 + 1e-12, 12.0)
         off = ParetoNBDParams(0.5, 10.0, 1.001, 12.0)
@@ -317,6 +334,20 @@ class TestFitting:
         got = (fit.params.r, fit.params.alpha, fit.params.s, fit.params.beta)
         for g, w in zip(got, (0.5, 10.0, 0.6, 12.0)):
             assert abs(g - w) / w < 0.15, got
+
+    def test_default_start_reaches_the_optimum(self):
+        # unscaled, a cohort-sized NLL sends the first projected step to a
+        # corner of the box and the fit "converges" where it started
+        truth = ParetoNBDParams(0.5, 10.0, 0.6, 12.0)
+        _, sim = simulate_pareto_nbd_cohort(SimConfig(5000, 730.0, truth, seed=48, build_log=False))
+        summaries = sim.summaries()
+        fit = fit_pareto_nbd(summaries)
+        x, t_x, T, _ = summary_arrays(summaries)
+        truth_nll = -float(np.sum(pareto_nbd_loglik(truth, x, t_x, T)))
+        assert fit.converged
+        assert fit.nll <= truth_nll
+        for got, want in ((fit.params.r, 0.5), (fit.params.alpha, 10.0), (fit.params.s, 0.6), (fit.params.beta, 12.0)):
+            assert abs(got - want) / want < 0.5, fit.params
 
     def test_bg_recovery_single_seed_and_runtime_ordering(self):
         config = SimConfig(

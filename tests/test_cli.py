@@ -83,6 +83,14 @@ def test_fit_artifact_warm_restart_keeps_nll(workspace):
     assert refit.nll == pytest.approx(artifact.parameters["nll"], abs=1e-6)
 
 
+def test_fit_reports_its_starts(workspace, tmp_path, capsys):
+    out = tmp_path / "bg_starts.json"
+    assert main(["fit", "--model", "bg_nbd", "--input", str(workspace / "summaries.csv"), "--out", str(out)]) == 0
+    starts = art.load_artifact(out).parameters["n_starts"]
+    assert starts >= 1
+    assert f"starts={starts} " in capsys.readouterr().out
+
+
 def test_gamma_gamma_rejects_zero_frequency_rows(workspace, tmp_path, capsys):
     code = main([
         "fit", "--model", "gamma_gamma", "--input", str(workspace / "summaries.csv"),
