@@ -92,16 +92,6 @@ def load_artifact(path) -> ModelArtifact:
 # model <-> parameter-blob conversion
 
 
-def _forest_blob(forest: FittedForest) -> dict:
-    return {
-        "config": asdict(forest.config),
-        "trees": forest.trees,
-        "tree_seeds": forest.tree_seeds,
-        "classifier": forest.classifier,
-        "n_features": forest.n_features,
-    }
-
-
 def _forest_from_blob(blob: dict) -> FittedForest:
     return FittedForest(
         config=ForestConfig(**blob["config"]),
@@ -115,7 +105,7 @@ def _forest_from_blob(blob: dict) -> FittedForest:
 def model_to_parameters(kind: str, model, fit_info: dict | None = None) -> dict:
     """Serialize a fitted model of the given kind to a JSON-safe dict."""
     info = dict(fit_info or {})
-    if kind == "basic":
+    if kind in ("basic", "pareto_nbd", "bg_nbd", "gamma_gamma", "forest", "three_stage"):
         return {**asdict(model), **info}
     if kind == "retention":
         return {
@@ -131,8 +121,6 @@ def model_to_parameters(kind: str, model, fit_info: dict | None = None) -> dict:
             "knot_fractions": [float(v) for v in model.knot_fractions],
             **info,
         }
-    if kind in ("pareto_nbd", "bg_nbd", "gamma_gamma"):
-        return {**asdict(model), **info}
     if kind == "markov":
         transitions, rewards = model
         return {
@@ -140,16 +128,6 @@ def model_to_parameters(kind: str, model, fit_info: dict | None = None) -> dict:
             "churn_index": transitions.space.churn_index,
             "matrix": transitions.matrix.tolist(),
             "rewards": rewards.values.tolist(),
-            **info,
-        }
-    if kind == "forest":
-        return {**_forest_blob(model), **info}
-    if kind == "three_stage":
-        return {
-            "payer_classifier": _forest_blob(model.payer_classifier),
-            "count_forest": _forest_blob(model.count_forest),
-            "value_forest": _forest_blob(model.value_forest),
-            "counts_supplied": model.counts_supplied,
             **info,
         }
     raise DataError(f"unknown model_kind {kind!r}")

@@ -2,7 +2,10 @@
 
 Every tabular file the toolkit reads goes through `read_columns` and every
 one it writes through `write_csv`: logs, summaries, curves, features and
-predictions alike.
+predictions alike. Every per-customer view of a log (RFM, the curves,
+Markov histories, supervised features) starts from `_group_by_customer`,
+and `rfm_summary` shares its RFM arithmetic with the simulator's ground
+truth through `_rfm_from_segments`.
 
 Timestamps are days since an arbitrary epoch, as floats. Frequency counts
 repeat purchases only (the first purchase opens the relationship), and
@@ -203,31 +206,90 @@ def write_event_csv(log: TransactionLog, path) -> None:
     write_csv(path, ["customer_id", "timestamp", "event_kind"], rows)
 
 
+def _group_by_customer(*streams):
+    """Code the rows of each stream (a sequence of `Transaction` or
+    `GameEvent` rows) by customer.
+
+    Returns the sorted ids of every customer in the streams; per stream, a
+    (codes, times) pair of arrays in row order, where a code indexes the
+    ids; and each customer's earliest timestamp over all the streams.
+    """
+    ids = sorted({row.customer_id for rows in streams for row in rows})
+    index = dict(zip(ids, range(len(ids))))
+    first = np.full(len(ids), np.inf)
+    columns = []
+    for rows in streams:
+        codes = np.fromiter((index[row.customer_id] for row in rows), np.intp, len(rows))
+        times = np.fromiter((row.timestamp for row in rows), float, len(rows))
+        np.minimum.at(first, codes, times)
+        columns.append((codes, times))
+    return ids, columns, first
+
+
+def _purchase_values(records: Sequence[Transaction]) -> np.ndarray:
+    return np.fromiter((r.value for r in records), float, len(records))
+
+
+def _event_kinds(events: Sequence[GameEvent]) -> np.ndarray:
+    """Each event's kind as its index in EVENT_KINDS, -1 for any other kind."""
+    index = {kind: i for i, kind in enumerate(EVENT_KINDS)}
+    return np.fromiter((index.get(e.kind, -1) for e in events), np.intp, len(events))
+
+
+def _distinct_days(codes: np.ndarray, days: np.ndarray):
+    """The distinct (code, day) pairs among rows, as a codes array and a
+    days array in (code, day) order."""
+    width = int(days.max()) + 1 if len(days) else 1
+    keys = np.unique(codes * width + days)
+    return keys // width, keys % width
+
+
+def _rfm_from_segments(first, counts, times, values):
+    """(recency, monetary_value) arrays of customers whose repeat purchases
+    are consecutive segments of `times` and `values`: `counts[i]` rows for
+    customer i, in time order, after a first purchase at `first[i]`. The
+    frequency is `counts` itself.
+
+    The monetary value stays one `np.mean` per segment: a reduceat or a
+    weighted bincount would round differently from it.
+    """
+    ends = np.cumsum(counts)
+    recency = np.zeros(len(counts))
+    monetary = np.zeros(len(counts))
+    repeaters = np.flatnonzero(counts > 0)
+    recency[repeaters] = times[ends[repeaters] - 1] - first[repeaters]
+    for i in repeaters:
+        monetary[i] = float(np.mean(values[ends[i] - counts[i]:ends[i]]))
+    return recency, monetary
+
+
 def rfm_summary(log: TransactionLog, observation_end: float) -> list[RFMSummary]:
     """One summary per purchasing customer, sorted by customer id.
 
     frequency = number of repeat purchases, recency = days from first to
     last purchase, age = days from first purchase to observation end,
     monetary_value = mean value of the repeat purchases (0 if none).
+    Purchases tied on a customer's earliest timestamp keep log order: the
+    first of them in the log is the first purchase.
     """
-    by_customer: dict[str, list[Transaction]] = {}
-    for r in log.records:
-        if r.timestamp > observation_end:
-            raise DataError(
-                f"observation_end {observation_end} precedes timestamp {r.timestamp}"
-            )
-        by_customer.setdefault(r.customer_id, []).append(r)
-    out = []
-    for cid in sorted(by_customer):
-        recs = sorted(by_customer[cid], key=lambda r: r.timestamp)
-        first = recs[0].timestamp
-        repeats = recs[1:]
-        x = len(repeats)
-        t_x = repeats[-1].timestamp - first if repeats else 0.0
-        T = observation_end - first
-        m = float(np.mean([r.value for r in repeats])) if repeats else 0.0
-        out.append(RFMSummary(cid, x, t_x, T, m))
-    return out
+    ids, [(codes, times)], first = _group_by_customer(log.records)
+    late = np.flatnonzero(times > observation_end)
+    if len(late):
+        raise DataError(
+            f"observation_end {observation_end} precedes timestamp {float(times[late[0]])}"
+        )
+    order = np.lexsort((times, codes))  # stable: ties stay in log order
+    counts = np.bincount(codes, minlength=len(ids))
+    repeat = np.ones(len(order), dtype=bool)
+    repeat[np.cumsum(counts) - counts] = False  # each customer's first purchase
+    repeats = order[repeat]
+    frequency = counts - 1
+    recency, monetary = _rfm_from_segments(first, frequency, times[repeats], _purchase_values(log.records)[repeats])
+    age = observation_end - first
+    return [
+        RFMSummary(*row)
+        for row in zip(ids, frequency.tolist(), recency.tolist(), age.tolist(), monetary.tolist())
+    ]
 
 
 def summary_arrays(summaries: Sequence[RFMSummary]):
@@ -299,9 +361,8 @@ def rfm_quintile_scores(summaries: Sequence[RFMSummary]) -> dict[str, RFMCellCod
     if len(summaries) < 5:
         raise DataError("quintile scoring needs at least 5 customers")
     ids = [s.customer_id for s in summaries]
-    days_since_last = np.array([s.age - s.recency for s in summaries], dtype=float)
-    freq = np.array([s.frequency for s in summaries], dtype=float)
-    money = np.array([s.monetary_value for s in summaries], dtype=float)
+    freq, recency, age, money = summary_arrays(summaries)
+    days_since_last = age - recency
     r_scores = 6 - _quintile(days_since_last)
     f_scores = _quintile(freq)
     m_scores = _quintile(money)
@@ -333,9 +394,8 @@ def weighted_rfm_rank(
         raise DataError("weights must be non-negative and sum to 1")
     if not summaries:
         raise DataError("no customers to rank")
-    days_since_last = np.array([s.age - s.recency for s in summaries], dtype=float)
-    freq = np.array([s.frequency for s in summaries], dtype=float)
-    money = np.array([s.monetary_value for s in summaries], dtype=float)
+    freq, recency, age, money = summary_arrays(summaries)
+    days_since_last = age - recency
     r_norm = 1.0 - _minmax(days_since_last) if days_since_last.max() > days_since_last.min() else np.zeros_like(days_since_last)
     score = w_r * r_norm + w_f * _minmax(freq) + w_m * _minmax(money)
     order = sorted(zip([s.customer_id for s in summaries], score), key=lambda p: (-p[1], p[0]))
@@ -345,37 +405,26 @@ def weighted_rfm_rank(
 def daily_active_fractions(log: TransactionLog, n_days: int) -> list[tuple[int, float]]:
     """Per-day fraction of the cohort with any event or purchase, relative
     to each customer's own first activity day (day 0 = install/first seen)."""
-    first: dict[str, float] = {}
-    activity: dict[str, set[int]] = {}
-    stream = [(r.customer_id, r.timestamp) for r in log.records] + [
-        (e.customer_id, e.timestamp) for e in log.events
-    ]
-    if not stream:
+    if not log.records and not log.events:
         raise DataError("log is empty")
-    for cid, t in stream:
-        if cid not in first or t < first[cid]:
-            first[cid] = t
-    for cid, t in stream:
-        activity.setdefault(cid, set()).add(int(np.floor(t - first[cid])))
-    n = len(first)
-    return [
-        (day, sum(1 for cid in activity if day in activity[cid]) / n)
-        for day in range(n_days)
-    ]
+    ids, columns, first = _group_by_customer(log.records, log.events)
+    codes = np.concatenate([c for c, _ in columns])
+    days = np.floor(np.concatenate([t for _, t in columns]) - first[codes]).astype(np.intp)
+    inside = days < n_days
+    _, active_days = _distinct_days(codes[inside], days[inside])
+    per_day = np.bincount(active_days, minlength=max(n_days, 0))
+    n = len(ids)
+    return [(day, int(per_day[day]) / n) for day in range(n_days)]
 
 
 def cumulative_revenue_fractions(log: TransactionLog, n_days: int) -> list[tuple[int, float]]:
     """Cohort cumulative revenue by relationship day, as a fraction of the
     day n_days-1 total (the final point is 1 by construction)."""
-    first: dict[str, float] = {}
-    for r in log.records:
-        if r.customer_id not in first or r.timestamp < first[r.customer_id]:
-            first[r.customer_id] = r.timestamp
-    daily = np.zeros(n_days)
-    for r in log.records:
-        day = int(np.floor(r.timestamp - first[r.customer_id]))
-        if day < n_days:
-            daily[day] += r.value
+    _, [(codes, times)], first = _group_by_customer(log.records)
+    days = np.floor(times - first[codes]).astype(np.intp)
+    inside = days < n_days
+    # bincount adds the weights in row order, as a running sum per day would
+    daily = np.bincount(days[inside], weights=_purchase_values(log.records)[inside], minlength=n_days)
     total = daily.sum()
     if total <= 0:
         raise DataError("no revenue inside the requested window")

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import _group_by_customer, _purchase_values
 from .errors import DataError
 
 _ROW_SUM_TOL = 1e-12
@@ -86,22 +87,19 @@ def histories_from_log(log, period_days: float, n_periods: int | None = None):
     history spans the same n_periods (default: enough to cover the log)."""
     if period_days <= 0:
         raise DataError("period_days must be > 0")
-    first: dict[str, float] = {}
-    for r in log.records:
-        if r.customer_id not in first or r.timestamp < first[r.customer_id]:
-            first[r.customer_id] = r.timestamp
-    if not first:
+    ids, [(codes, times)], first = _group_by_customer(log.records)
+    if not ids:
         raise DataError("log contains no purchases")
     if n_periods is None:
-        last = max(r.timestamp for r in log.records)
-        n_periods = int(np.floor((last - min(first.values())) / period_days)) + 1
-    ids = sorted(first)
-    index = {cid: i for i, cid in enumerate(ids)}
-    histories = np.zeros((len(ids), n_periods))
-    for r in log.records:
-        p = int(np.floor((r.timestamp - first[r.customer_id]) / period_days))
-        if 0 <= p < n_periods:
-            histories[index[r.customer_id], p] += r.value
+        n_periods = int(np.floor((times.max() - first.min()) / period_days)) + 1
+    periods = np.floor((times - first[codes]) / period_days).astype(np.intp)
+    inside = periods < n_periods
+    # bincount adds the weights in row order, as a running sum per cell would
+    histories = np.bincount(
+        codes[inside] * n_periods + periods[inside],
+        weights=_purchase_values(log.records)[inside],
+        minlength=len(ids) * n_periods,
+    ).reshape(len(ids), n_periods)
     return ids, [histories[i] for i in range(len(ids))]
 
 

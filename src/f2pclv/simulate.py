@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btyd import BGNBDParams, GammaGammaParams, ParetoNBDParams
-from .data import GameEvent, RFMSummary, Transaction, TransactionLog
+from .data import GameEvent, RFMSummary, Transaction, TransactionLog, _rfm_from_segments
 from .errors import DataError
 from .markov import RewardVector, TransitionMatrix
 
@@ -126,19 +126,31 @@ def _assemble_log(config, ids, starts, rep_times_abs, rep_cust, first_values, re
     return TransactionLog(records=records, events=events).sorted()
 
 
-def _truth_from_segments(ids, starts, counts, rep_times_abs, rep_values):
-    """Recompute the summary counters exactly as the data module would."""
-    n = len(ids)
-    seg_starts, seg_ends = _segment_offsets(counts)
-    frequency = counts.astype(float)
-    recency = np.zeros(n)
-    monetary = np.zeros(n)
-    for i in range(n):
-        if counts[i] > 0:
-            seg = slice(seg_starts[i], seg_ends[i])
-            recency[i] = rep_times_abs[seg][-1] - starts[i]
-            monetary[i] = float(np.mean(rep_values[seg]))
-    return frequency, recency, monetary
+def _draw_customers(config, rng):
+    """Relationship starts, ages, conversion flags and purchase rates."""
+    n = config.n_customers
+    starts = rng.uniform(0.0, config.start_spread_days, n) if config.start_spread_days > 0 else np.zeros(n)
+    ages = config.observation_end - starts
+    converted = (
+        rng.random(n) < config.conversion_rate
+        if config.conversion_rate < 1.0
+        else np.ones(n, dtype=bool)
+    )
+    params = config.purchase_model
+    lam = rng.gamma(shape=params.r, scale=1.0 / params.alpha, size=n)
+    return starts, ages, converted, lam
+
+
+def _draw_spend(config, rng, rep_cust):
+    """Values of each customer's first purchase and of the repeat purchases
+    made by `rep_cust`, from the gamma-gamma hierarchy (all 1 without one)."""
+    spend = config.spend_model
+    if spend is None:
+        return np.ones(config.n_customers), np.ones(len(rep_cust))
+    nu = rng.gamma(shape=spend.q, scale=1.0 / spend.gamma, size=config.n_customers)
+    first_values = rng.gamma(shape=spend.p, scale=1.0 / nu)
+    rep_values = rng.gamma(shape=spend.p, scale=1.0 / nu[rep_cust])
+    return first_values, rep_values
 
 
 def simulate_pareto_nbd_cohort(config: SimConfig) -> tuple[TransactionLog, GroundTruth]:
@@ -154,15 +166,7 @@ def simulate_pareto_nbd_cohort(config: SimConfig) -> tuple[TransactionLog, Groun
     n = config.n_customers
     rng = np.random.default_rng(config.seed)
     ids = _customer_ids(n)
-
-    starts = rng.uniform(0.0, config.start_spread_days, n) if config.start_spread_days > 0 else np.zeros(n)
-    ages = config.observation_end - starts
-    converted = (
-        rng.random(n) < config.conversion_rate
-        if config.conversion_rate < 1.0
-        else np.ones(n, dtype=bool)
-    )
-    lam = rng.gamma(shape=params.r, scale=1.0 / params.alpha, size=n)
+    starts, ages, converted, lam = _draw_customers(config, rng)
     mu = rng.gamma(shape=params.s, scale=1.0 / params.beta, size=n)
     death = rng.exponential(scale=1.0 / mu)
     window = np.minimum(death, ages)
@@ -172,15 +176,8 @@ def simulate_pareto_nbd_cohort(config: SimConfig) -> tuple[TransactionLog, Groun
     u_sorted, rep_cust = _sorted_segment_uniforms(rng, counts)
     rep_times_abs = starts[rep_cust] + u_sorted * window[rep_cust]
 
-    if config.spend_model is not None:
-        nu = rng.gamma(shape=config.spend_model.q, scale=1.0 / config.spend_model.gamma, size=n)
-        first_values = rng.gamma(shape=config.spend_model.p, scale=1.0 / nu)
-        rep_values = rng.gamma(shape=config.spend_model.p, scale=1.0 / nu[rep_cust])
-    else:
-        first_values = np.ones(n)
-        rep_values = np.ones(int(counts.sum()))
-
-    frequency, recency, monetary = _truth_from_segments(ids, starts, counts, rep_times_abs, rep_values)
+    first_values, rep_values = _draw_spend(config, rng, rep_cust)
+    recency, monetary = _rfm_from_segments(starts, counts, rep_times_abs, rep_values)
     truth = GroundTruth(
         customer_ids=ids,
         lam=lam,
@@ -189,7 +186,7 @@ def simulate_pareto_nbd_cohort(config: SimConfig) -> tuple[TransactionLog, Groun
         death_time=death,
         alive=death > ages,
         converted=converted,
-        frequency=frequency,
+        frequency=counts.astype(float),
         recency=recency,
         age=ages,
         monetary_value=monetary,
@@ -213,15 +210,7 @@ def simulate_bg_nbd_cohort(config: SimConfig) -> tuple[TransactionLog, GroundTru
     n = config.n_customers
     rng = np.random.default_rng(config.seed)
     ids = _customer_ids(n)
-
-    starts = rng.uniform(0.0, config.start_spread_days, n) if config.start_spread_days > 0 else np.zeros(n)
-    ages = config.observation_end - starts
-    converted = (
-        rng.random(n) < config.conversion_rate
-        if config.conversion_rate < 1.0
-        else np.ones(n, dtype=bool)
-    )
-    lam = rng.gamma(shape=params.r, scale=1.0 / params.alpha, size=n)
+    starts, ages, converted, lam = _draw_customers(config, rng)
     dropout = rng.beta(params.a, params.b, size=n)
 
     # Purchases the Poisson process would deliver, then truncation at the
@@ -246,15 +235,8 @@ def simulate_bg_nbd_cohort(config: SimConfig) -> tuple[TransactionLog, GroundTru
         last_time = rep_times_abs[kept_ends[died] - 1] - starts[died]
         death[died] = last_time
 
-    if config.spend_model is not None:
-        nu = rng.gamma(shape=config.spend_model.q, scale=1.0 / config.spend_model.gamma, size=n)
-        first_values = rng.gamma(shape=config.spend_model.p, scale=1.0 / nu)
-        rep_values = rng.gamma(shape=config.spend_model.p, scale=1.0 / nu[rep_cust])
-    else:
-        first_values = np.ones(n)
-        rep_values = np.ones(int(counts.sum()))
-
-    frequency, recency, monetary = _truth_from_segments(ids, starts, counts, rep_times_abs, rep_values)
+    first_values, rep_values = _draw_spend(config, rng, rep_cust)
+    recency, monetary = _rfm_from_segments(starts, counts, rep_times_abs, rep_values)
     truth = GroundTruth(
         customer_ids=ids,
         lam=lam,
@@ -263,7 +245,7 @@ def simulate_bg_nbd_cohort(config: SimConfig) -> tuple[TransactionLog, GroundTru
         death_time=death,
         alive=alive,
         converted=converted,
-        frequency=frequency,
+        frequency=counts.astype(float),
         recency=recency,
         age=ages,
         monetary_value=monetary,

@@ -16,7 +16,16 @@ from typing import Callable
 
 import numpy as np
 
-from .data import TransactionLog, read_columns, write_csv
+from .data import (
+    EVENT_KINDS,
+    TransactionLog,
+    _distinct_days,
+    _event_kinds,
+    _group_by_customer,
+    _purchase_values,
+    read_columns,
+    write_csv,
+)
 from .errors import DataError
 from .forest import FittedForest, ForestConfig, fit_random_forest
 from .forest import predict as forest_predict
@@ -74,64 +83,45 @@ def extract_features(
         raise DataError("need window > 0 and target_horizon >= window")
     if observation_end is None:
         observation_end = log.last_timestamp()
-    first: dict[str, float] = {}
-    for r in log.records:
-        if r.customer_id not in first or r.timestamp < first[r.customer_id]:
-            first[r.customer_id] = r.timestamp
-    for e in log.events:
-        if e.customer_id not in first or e.timestamp < first[e.customer_id]:
-            first[e.customer_id] = e.timestamp
+    ids, [(r_codes, r_times), (e_codes, e_times)], first = _group_by_customer(log.records, log.events)
+    included = first <= observation_end - window
+    n = int(included.sum())
+    row = np.cumsum(included) - 1  # feature row of each included player
 
-    included = sorted(cid for cid, t0 in first.items() if t0 <= observation_end - window)
-    n_excluded = len(first) - len(included)
-    index = {cid: i for i, cid in enumerate(included)}
-    n = len(included)
-    sessions = np.zeros(n)
-    rounds = np.zeros(n)
-    days: list[set[int]] = [set() for _ in range(n)]
-    purchases = np.zeros(n)
-    amount = np.zeros(n)
-    target = np.zeros(n)
-    future_counts = np.zeros(n)
+    def early(codes, times):
+        """Feature row and day of each row of an included player inside its
+        window, and the mask that picks those rows."""
+        offsets = times - first[codes]
+        keep = included[codes] & (offsets < window)
+        return row[codes[keep]], np.floor(offsets[keep]).astype(np.intp), keep
 
-    for e in log.events:
-        i = index.get(e.customer_id)
-        if i is None:
-            continue
-        offset = e.timestamp - first[e.customer_id]
-        if 0 <= offset < window:
-            if e.kind == "session_start":
-                sessions[i] += 1
-            elif e.kind == "round_played":
-                rounds[i] += 1
-            days[i].add(int(np.floor(offset)))
-    for r in log.records:
-        i = index.get(r.customer_id)
-        if i is None:
-            continue
-        offset = r.timestamp - first[r.customer_id]
-        if 0 <= offset < window:
-            purchases[i] += 1
-            amount[i] += r.value
-            days[i].add(int(np.floor(offset)))
-        if 0 <= offset <= target_horizon:
-            target[i] += r.value
-            future_counts[i] += 1
-
-    values = np.column_stack(
-        [sessions, rounds, np.array([len(d) for d in days], dtype=float), purchases, amount]
-    )
+    e_rows, e_days, e_keep = early(e_codes, e_times)
+    r_rows, r_days, r_keep = early(r_codes, r_times)
+    kinds = _event_kinds(log.events)[e_keep]
+    active_rows, _ = _distinct_days(np.concatenate([e_rows, r_rows]), np.concatenate([e_days, r_days]))
+    amounts = _purchase_values(log.records)
+    horizon = included[r_codes] & (r_times - first[r_codes] <= target_horizon)
+    # bincount adds the weights in row order, as a running sum per player would
+    values = np.column_stack([
+        np.bincount(e_rows[kinds == EVENT_KINDS.index("session_start")], minlength=n),
+        np.bincount(e_rows[kinds == EVENT_KINDS.index("round_played")], minlength=n),
+        np.bincount(active_rows, minlength=n),
+        np.bincount(r_rows, minlength=n),
+        np.bincount(r_rows, weights=amounts[r_keep], minlength=n),
+    ])
+    target = np.bincount(row[r_codes[horizon]], weights=amounts[horizon], minlength=n)
+    future_counts = np.bincount(row[r_codes[horizon]], minlength=n).astype(float)
     features = FeatureMatrix(
         columns=FEATURE_COLUMNS,
         kinds=("continuous",) * len(FEATURE_COLUMNS),
         values=values,
-        player_ids=tuple(included),
+        player_ids=tuple(ids[i] for i in np.flatnonzero(included)),
     )
     return ExtractedDataset(
         features=features,
         targets=target,
         purchase_counts=future_counts,
-        n_excluded=n_excluded,
+        n_excluded=len(ids) - n,
     )
 
 

@@ -15,6 +15,8 @@ from f2pclv.data import (
     Transaction,
     TransactionLog,
     activity_state,
+    cumulative_revenue_fractions,
+    daily_active_fractions,
     parse_event_log,
     parse_transaction_log,
     rfm_quintile_scores,
@@ -158,6 +160,13 @@ class TestRFMSummary:
             rng.shuffle(shuffled)
             assert rfm_summary(TransactionLog(records=shuffled), 120.0) == base
 
+    def test_log_order_breaks_a_tie_on_the_first_purchase(self):
+        rows = [Transaction("a", 0.0, 4.0), Transaction("a", 0.0, 10.0), Transaction("a", 5.0, 2.0)]
+        (s,) = rfm_summary(TransactionLog(records=rows), 8.0)
+        assert (s.frequency, s.recency, s.age, s.monetary_value) == (2, 5.0, 8.0, 6.0)
+        (s,) = rfm_summary(TransactionLog(records=[rows[1], rows[0], rows[2]]), 8.0)
+        assert s.monetary_value == 3.0
+
     def test_matches_simulator_counters_exactly(self):
         config = SimConfig(
             n_customers=400,
@@ -196,6 +205,40 @@ class TestSplit:
             assert sorted(cal.records + hold.records, key=lambda r: r.timestamp) == log.records
             assert all(r.timestamp < cutoff for r in cal.records)
             assert all(r.timestamp >= cutoff for r in hold.records)
+
+
+class TestCurves:
+    def test_daily_active_fractions_hand_counted(self):
+        # "a" plays at day 9.75, before its first purchase, so its day 0 is
+        # 9.75 and its 11.875 session falls on day 2; 12.75 is day 3, at
+        # n_days. "b" is active on days 0, 1 and 40, "c" on day 0 only.
+        events = [
+            GameEvent("b", 40.0, "session_start"),
+            GameEvent("a", 11.875, "session_start"),
+            GameEvent("a", 10.25, "round_played"),
+            GameEvent("b", 0.0, "session_start"),
+            GameEvent("a", 12.75, "session_start"),
+            GameEvent("a", 9.75, "session_start"),
+        ]
+        records = [Transaction("c", 3.0, 1.0), Transaction("a", 10.5, 2.0), Transaction("b", 1.5, 1.0)]
+        points = daily_active_fractions(TransactionLog(records=records, events=events), 3)
+        assert points == [(0, 1.0), (1, 1 / 3), (2, 1 / 3)]
+
+    def test_daily_active_fractions_of_an_empty_log(self):
+        with pytest.raises(DataError):
+            daily_active_fractions(TransactionLog(), 3)
+
+    def test_revenue_adds_a_day_in_log_order(self):
+        # In log order day 0 sums to (1e16 + 1) - 1e16 = 0; in time order it
+        # would be 1.
+        records = [
+            Transaction("a", 0.0, 1e16),
+            Transaction("a", 0.5, 1.0),
+            Transaction("a", 0.25, -1e16),
+            Transaction("a", 1.5, 2.0),
+        ]
+        points = cumulative_revenue_fractions(TransactionLog(records=records), 2)
+        assert points == [(0, 0.0), (1, 1.0)]
 
 
 class TestActivityState:

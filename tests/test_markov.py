@@ -259,6 +259,21 @@ class TestRecencyMigration:
         assert list(histories[0]) == [5.0, 0.0, 3.0, 0.0]
         assert list(histories[1]) == [2.0, 0.0, 0.0, 0.0]
 
+    def test_histories_add_a_period_in_log_order(self):
+        # In log order period 0 sums to (1e16 + 1) - 1e16 = 0; in time order
+        # it would be 1.
+        log = TransactionLog(
+            records=[
+                Transaction("a", 0.0, 1e16),
+                Transaction("a", 0.5, 1.0),
+                Transaction("a", 0.25, -1e16),
+                Transaction("a", 1.5, 2.0),
+            ]
+        )
+        ids, histories = histories_from_log(log, period_days=1.0)
+        assert ids == ["a"]
+        assert list(histories[0]) == [0.0, 2.0]
+
 
 def _dp_instance():
     space = StateSpace.recency_cells(2)

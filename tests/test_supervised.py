@@ -54,6 +54,22 @@ class TestExtractFeatures:
         assert dataset.targets[0] == 20.0
         assert dataset.purchase_counts[0] == 3
 
+    def test_amount_and_target_add_in_log_order(self):
+        # In log order the three early purchases sum to (1e16 + 1) - 1e16 = 0;
+        # in time order they would sum to 1.
+        records = [
+            Transaction("p", 0.0, 1e16),
+            Transaction("p", 0.5, 1.0),
+            Transaction("p", 0.25, -1e16),
+            Transaction("p", 10.0, 2.0),
+        ]
+        dataset = extract_features(TransactionLog(records=records), window=7.0, target_horizon=30.0, observation_end=60.0)
+        row = dict(zip(dataset.features.columns, dataset.features.values[0]))
+        assert row["total_purchase_amount"] == 0.0
+        assert row["number_of_purchases"] == 3
+        assert dataset.targets[0] == 2.0
+        assert dataset.purchase_counts[0] == 4
+
     def test_never_paying_player_gets_zero_target(self):
         log = TransactionLog(events=[GameEvent("p", 0.0, "session_start")])
         dataset = extract_features(log, window=7.0, target_horizon=30.0, observation_end=60.0)
