@@ -65,12 +65,11 @@ def _load_log(transactions, events=None, iso_dates=False) -> TransactionLog:
         raise DataError("a transaction log is required")
     mapping = ColumnMapping(iso_dates=iso_dates)
     with open(transactions, newline="") as fh:
-        records = parse_transaction_log(fh, mapping).log.records
-    event_rows = []
+        log = parse_transaction_log(fh, mapping).log
     if events:
         with open(events, newline="") as fh:
-            event_rows = parse_event_log(fh, mapping).log.events
-    return TransactionLog(records=records, events=event_rows)
+            log.events = parse_event_log(fh, mapping).log.events
+    return log
 
 
 def _fmt(v):
@@ -444,9 +443,10 @@ def cmd_segment(args):
         )
         realized = {}
         if args.holdout:
-            hold = _load_log(args.holdout)
-            for r in hold.records:
-                realized[r.customer_id] = realized.get(r.customer_id, 0.0) + r.value
+            hold = _load_log(args.holdout).records
+            # bincount adds the weights in row order, as a running sum per customer would
+            totals = np.bincount(hold.codes, weights=hold.payload, minlength=len(hold.ids))
+            realized = dict(zip(hold.ids, totals.tolist()))
         order = np.argsort(-clv, kind="stable")
         segments = np.empty(len(summaries), dtype=int)
         for rank, idx in enumerate(order):

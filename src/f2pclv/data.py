@@ -1,5 +1,10 @@
 """Transaction/event ingestion, RFM summaries, splits, and segmentation.
 
+A `TransactionLog` holds its purchases and its gameplay events as `Rows`
+columns from parse or the simulator to every consumer and writer. Rows
+exist only where a log is built from a sequence of them and where it is
+iterated.
+
 Every tabular file the toolkit reads goes through `read_columns` and every
 one it writes through `write_csv`: logs, summaries, curves, features and
 predictions alike. Every per-customer view of a log (RFM, the curves,
@@ -18,9 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,36 +36,78 @@ EVENT_KINDS = ("session_start", "round_played", "purchase")
 _EPOCH = date(1970, 1, 1)
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     customer_id: str
     timestamp: float
     value: float
 
 
-@dataclass(frozen=True)
-class GameEvent:
+class GameEvent(NamedTuple):
     customer_id: str
     timestamp: float
     kind: str
 
 
+class Rows:
+    """One stream of a log in columns, in row order: `ids`, the sorted ids of
+    the customers that have rows (those given may be in any order and hold
+    others); `codes`, each row's index into them; `times`; and `payload`,
+    each purchase's value or each event's kind. Iterating yields `row`s."""
+
+    def __init__(self, row: type, ids: Sequence[str], codes, times, payload):
+        codes = np.asarray(codes, dtype=np.intp)
+        keep = sorted(np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist(), key=ids.__getitem__)
+        recode = np.zeros(len(ids), dtype=np.intp)
+        recode[keep] = np.arange(len(keep))
+        self.row = row
+        self.ids = np.array([ids[i] for i in keep], dtype=object)
+        self.codes = recode[codes]
+        self.times = np.asarray(times, dtype=float)
+        self.payload = np.asarray(payload, dtype=float if row is Transaction else object)
+
+    @classmethod
+    def of(cls, row: type, rows: "Rows | Iterable") -> "Rows":
+        """`rows` itself if it is `Rows`, else the columns of a sequence of
+        `row` tuples, in its order."""
+        if isinstance(rows, Rows):
+            return rows
+        cids, times, payload = tuple(zip(*rows)) or ((), (), ())
+        index = {}
+        codes = [index.setdefault(cid, len(index)) for cid in cids]
+        return cls(row, list(index), codes, times, payload)
+
+    def take(self, index) -> "Rows":
+        """The rows that an integer or boolean array selects, in its order."""
+        return Rows(self.row, self.ids, self.codes[index], self.times[index], self.payload[index])
+
+    def sorted(self) -> "Rows":
+        """Rows ordered by customer id, then timestamp; ties keep row order."""
+        return self.take(np.lexsort((self.times, self.codes)))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.row, self.ids[self.codes].tolist(), self.times.tolist(), self.payload.tolist())
+
+
 @dataclass
 class TransactionLog:
-    """Purchase records plus optional gameplay events, sorted per customer."""
+    """Purchase records plus optional gameplay events, each held as `Rows`."""
 
-    records: list[Transaction] = field(default_factory=list)
-    events: list[GameEvent] = field(default_factory=list)
+    records: Rows | Sequence[Transaction] = ()
+    events: Rows | Sequence[GameEvent] = ()
+
+    def __post_init__(self):
+        self.records = Rows.of(Transaction, self.records)
+        self.events = Rows.of(GameEvent, self.events)
 
     def sorted(self) -> "TransactionLog":
-        return TransactionLog(
-            records=sorted(self.records, key=lambda r: (r.customer_id, r.timestamp)),
-            events=sorted(self.events, key=lambda e: (e.customer_id, e.timestamp)),
-        )
+        return TransactionLog(records=self.records.sorted(), events=self.events.sorted())
 
     def last_timestamp(self) -> float:
-        times = [r.timestamp for r in self.records] + [e.timestamp for e in self.events]
-        return max(times) if times else 0.0
+        times = np.concatenate([self.records.times, self.events.times])
+        return float(times.max()) if len(times) else 0.0
 
 
 @dataclass(frozen=True)
@@ -154,6 +201,33 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         w.writerows(rows)
 
 
+def _parse_log(source, mapping: ColumnMapping, row: type, column: str, payload_of) -> tuple[Rows, int]:
+    """The rows of a delimited log sorted by customer then time, and the
+    number of rows read. `payload_of` turns a cell of `column` into a row's
+    payload, or None to reject the row."""
+    to_days = _iso_days if mapping.iso_dates else float
+    columns = (mapping.customer_id, mapping.timestamp, column)
+    index, codes, times, payload = {}, [], [], []
+    total = 0
+    for cid, raw_t, cell in read_columns(source, columns, mapping.delimiter):
+        total += 1
+        try:
+            t = to_days(raw_t)
+            p = payload_of(cell)
+        except (AttributeError, TypeError, ValueError):  # a short row's missing cell is None
+            continue
+        if cid and math.isfinite(t) and t >= 0 and p is not None:
+            codes.append(index.setdefault(cid, len(index)))
+            times.append(t)
+            payload.append(p)
+    return Rows(row, list(index), codes, times, payload).sorted(), total
+
+
+def _purchase_value(cell: str) -> float | None:
+    v = float(cell)
+    return v if math.isfinite(v) and v >= 0 else None
+
+
 def parse_transaction_log(source: Iterable[str] | str, mapping: ColumnMapping = ColumnMapping()) -> IngestResult:
     """Parse delimited purchase rows; malformed rows are counted, not kept.
 
@@ -161,79 +235,46 @@ def parse_transaction_log(source: Iterable[str] | str, mapping: ColumnMapping = 
     timestamp, or a negative or non-finite value are rejected. A missing
     mapped column is a format error.
     """
-    to_days = _iso_days if mapping.iso_dates else float
-    columns = (mapping.customer_id, mapping.timestamp, mapping.value)
-    records = []
-    total = 0
-    for cid, raw_t, raw_v in read_columns(source, columns, mapping.delimiter):
-        total += 1
-        try:
-            t = to_days(raw_t)
-            v = float(raw_v)
-        except (AttributeError, TypeError, ValueError):  # a short row's missing cell is None
-            continue
-        if cid and math.isfinite(t) and t >= 0 and math.isfinite(v) and v >= 0:
-            records.append(Transaction(cid, t, v))
-    log = TransactionLog(records=records).sorted()
-    return IngestResult(log=log, rejected_rows=total - len(records), total_rows=total)
+    records, total = _parse_log(source, mapping, Transaction, mapping.value, _purchase_value)
+    return IngestResult(log=TransactionLog(records=records), rejected_rows=total - len(records), total_rows=total)
 
 
 def parse_event_log(source: Iterable[str] | str, mapping: ColumnMapping = ColumnMapping()) -> IngestResult:
     """Parse gameplay-event rows (customer_id, timestamp, event_kind)."""
-    to_days = _iso_days if mapping.iso_dates else float
-    columns = (mapping.customer_id, mapping.timestamp, mapping.event_kind)
-    events = []
-    total = 0
-    for cid, raw_t, kind in read_columns(source, columns, mapping.delimiter):
-        total += 1
-        try:
-            t = to_days(raw_t)
-        except (AttributeError, TypeError, ValueError):  # a short row's missing cell is None
-            continue
-        if cid and math.isfinite(t) and t >= 0 and kind in EVENT_KINDS:
-            events.append(GameEvent(cid, t, kind))
-    log = TransactionLog(events=events).sorted()
-    return IngestResult(log=log, rejected_rows=total - len(events), total_rows=total)
+    # EVENT_KINDS' own str objects: every row of a kind shares one
+    events, total = _parse_log(source, mapping, GameEvent, mapping.event_kind, {k: k for k in EVENT_KINDS}.get)
+    return IngestResult(log=TransactionLog(events=events), rejected_rows=total - len(events), total_rows=total)
 
 
 def write_transaction_csv(log: TransactionLog, path) -> None:
-    rows = ([r.customer_id, repr(r.timestamp), repr(r.value)] for r in log.records)
+    r = log.records
+    # tolist: the repr of a Python float, not of np.float64
+    rows = zip(r.ids[r.codes], map(repr, r.times.tolist()), map(repr, r.payload.tolist()))
     write_csv(path, ["customer_id", "timestamp", "value"], rows)
 
 
 def write_event_csv(log: TransactionLog, path) -> None:
-    rows = ([e.customer_id, repr(e.timestamp), e.kind] for e in log.events)
+    e = log.events
+    rows = zip(e.ids[e.codes], map(repr, e.times.tolist()), e.payload)
     write_csv(path, ["customer_id", "timestamp", "event_kind"], rows)
 
 
-def _group_by_customer(*streams):
-    """Code the rows of each stream (a sequence of `Transaction` or
-    `GameEvent` rows) by customer.
+def _group_by_customer(*streams: Rows):
+    """Code the rows of each stream by customer over all the streams.
 
     Returns the sorted ids of every customer in the streams; per stream, a
     (codes, times) pair of arrays in row order, where a code indexes the
     ids; and each customer's earliest timestamp over all the streams.
     """
-    ids = sorted({row.customer_id for rows in streams for row in rows})
+    ids = sorted(set().union(*(rows.ids for rows in streams)))
     index = dict(zip(ids, range(len(ids))))
     first = np.full(len(ids), np.inf)
     columns = []
     for rows in streams:
-        codes = np.fromiter((index[row.customer_id] for row in rows), np.intp, len(rows))
-        times = np.fromiter((row.timestamp for row in rows), float, len(rows))
-        np.minimum.at(first, codes, times)
-        columns.append((codes, times))
+        codes = np.array([index[cid] for cid in rows.ids], dtype=np.intp)[rows.codes]
+        np.minimum.at(first, codes, rows.times)
+        columns.append((codes, rows.times))
     return ids, columns, first
-
-
-def _purchase_values(records: Sequence[Transaction]) -> np.ndarray:
-    return np.fromiter((r.value for r in records), float, len(records))
-
-
-def _event_kinds(events: Sequence[GameEvent]) -> np.ndarray:
-    """Each event's kind as its index in EVENT_KINDS, -1 for any other kind."""
-    index = {kind: i for i, kind in enumerate(EVENT_KINDS)}
-    return np.fromiter((index.get(e.kind, -1) for e in events), np.intp, len(events))
 
 
 def _distinct_days(codes: np.ndarray, days: np.ndarray):
@@ -284,7 +325,7 @@ def rfm_summary(log: TransactionLog, observation_end: float) -> list[RFMSummary]
     repeat[np.cumsum(counts) - counts] = False  # each customer's first purchase
     repeats = order[repeat]
     frequency = counts - 1
-    recency, monetary = _rfm_from_segments(first, frequency, times[repeats], _purchase_values(log.records)[repeats])
+    recency, monetary = _rfm_from_segments(first, frequency, times[repeats], log.records.payload[repeats])
     age = observation_end - first
     return [
         RFMSummary(*row)
@@ -322,14 +363,10 @@ def read_summary_csv(path) -> list[RFMSummary]:
 
 def split_calibration_holdout(log: TransactionLog, cutoff: float) -> tuple[TransactionLog, TransactionLog]:
     """Records before the cutoff vs. from the cutoff on; union is the input."""
-    cal = TransactionLog(
-        records=[r for r in log.records if r.timestamp < cutoff],
-        events=[e for e in log.events if e.timestamp < cutoff],
-    )
-    hold = TransactionLog(
-        records=[r for r in log.records if r.timestamp >= cutoff],
-        events=[e for e in log.events if e.timestamp >= cutoff],
-    )
+    early_records = log.records.times < cutoff
+    early_events = log.events.times < cutoff
+    cal = TransactionLog(records=log.records.take(early_records), events=log.events.take(early_events))
+    hold = TransactionLog(records=log.records.take(~early_records), events=log.events.take(~early_events))
     return cal, hold
 
 
@@ -405,6 +442,8 @@ def weighted_rfm_rank(
 def daily_active_fractions(log: TransactionLog, n_days: int) -> list[tuple[int, float]]:
     """Per-day fraction of the cohort with any event or purchase, relative
     to each customer's own first activity day (day 0 = install/first seen)."""
+    if n_days < 0:
+        raise DataError(f"n_days must be >= 0, got {n_days}")
     if not log.records and not log.events:
         raise DataError("log is empty")
     ids, columns, first = _group_by_customer(log.records, log.events)
@@ -412,7 +451,7 @@ def daily_active_fractions(log: TransactionLog, n_days: int) -> list[tuple[int, 
     days = np.floor(np.concatenate([t for _, t in columns]) - first[codes]).astype(np.intp)
     inside = days < n_days
     _, active_days = _distinct_days(codes[inside], days[inside])
-    per_day = np.bincount(active_days, minlength=max(n_days, 0))
+    per_day = np.bincount(active_days, minlength=n_days)
     n = len(ids)
     return [(day, int(per_day[day]) / n) for day in range(n_days)]
 
@@ -420,11 +459,13 @@ def daily_active_fractions(log: TransactionLog, n_days: int) -> list[tuple[int, 
 def cumulative_revenue_fractions(log: TransactionLog, n_days: int) -> list[tuple[int, float]]:
     """Cohort cumulative revenue by relationship day, as a fraction of the
     day n_days-1 total (the final point is 1 by construction)."""
+    if n_days < 0:
+        raise DataError(f"n_days must be >= 0, got {n_days}")
     _, [(codes, times)], first = _group_by_customer(log.records)
     days = np.floor(times - first[codes]).astype(np.intp)
     inside = days < n_days
     # bincount adds the weights in row order, as a running sum per day would
-    daily = np.bincount(days[inside], weights=_purchase_values(log.records)[inside], minlength=n_days)
+    daily = np.bincount(days[inside], weights=log.records.payload[inside], minlength=n_days)
     total = daily.sum()
     if total <= 0:
         raise DataError("no revenue inside the requested window")

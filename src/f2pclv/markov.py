@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import _group_by_customer, _purchase_values
+from .data import _group_by_customer
 from .errors import DataError
 
 _ROW_SUM_TOL = 1e-12
@@ -97,7 +97,7 @@ def histories_from_log(log, period_days: float, n_periods: int | None = None):
     # bincount adds the weights in row order, as a running sum per cell would
     histories = np.bincount(
         codes[inside] * n_periods + periods[inside],
-        weights=_purchase_values(log.records)[inside],
+        weights=log.records.payload[inside],
         minlength=len(ids) * n_periods,
     ).reshape(len(ids), n_periods)
     return ids, [histories[i] for i in range(len(ids))]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btyd import BGNBDParams, GammaGammaParams, ParetoNBDParams
-from .data import GameEvent, RFMSummary, Transaction, TransactionLog, _rfm_from_segments
+from .data import GameEvent, RFMSummary, Rows, Transaction, TransactionLog, _rfm_from_segments
 from .errors import DataError
 from .markov import RewardVector, TransitionMatrix
 
@@ -102,28 +102,24 @@ def _segment_offsets(counts):
 
 
 def _assemble_log(config, ids, starts, rep_times_abs, rep_cust, first_values, rep_values, rng, alive_window, converted):
-    records = [
-        Transaction(ids[i], float(starts[i]), float(first_values[i]))
-        for i in range(config.n_customers)
-        if converted[i]
-    ]
-    records += [
-        Transaction(ids[c], float(t), float(v))
-        for c, t, v in zip(rep_cust, rep_times_abs, rep_values)
-    ]
-    events = []
+    payers = np.flatnonzero(converted)
+    codes = np.concatenate([payers, rep_cust])
+    times = np.concatenate([starts[payers], rep_times_abs])
+    records = Rows(Transaction, ids, codes, times, np.concatenate([first_values[payers], rep_values]))
+    streams = []  # (codes, times, kind) of the events of each kind
     if config.sessions_per_day > 0:
         n_sessions = rng.poisson(config.sessions_per_day * alive_window)
         u, cust = _sorted_segment_uniforms(rng, n_sessions)
-        times = starts[cust] + u * np.repeat(alive_window, n_sessions)
-        events += [GameEvent(ids[c], float(t), "session_start") for c, t in zip(cust, times)]
+        session_times = starts[cust] + u * np.repeat(alive_window, n_sessions)
+        streams.append((cust, session_times, "session_start"))
         if config.rounds_per_session > 0:
-            rounds = rng.poisson(config.rounds_per_session, size=len(times))
-            r_cust = np.repeat(cust, rounds)
-            r_times = np.repeat(times, rounds)
-            events += [GameEvent(ids[c], float(t), "round_played") for c, t in zip(r_cust, r_times)]
-    events += [GameEvent(r.customer_id, r.timestamp, "purchase") for r in records]
-    return TransactionLog(records=records, events=events).sorted()
+            rounds = rng.poisson(config.rounds_per_session, size=len(session_times))
+            streams.append((np.repeat(cust, rounds), np.repeat(session_times, rounds), "round_played"))
+    streams.append((codes, times, "purchase"))
+    e_codes, e_times, kinds = zip(*streams)
+    kinds = np.repeat(np.array(kinds, dtype=object), [len(c) for c in e_codes])
+    events = Rows(GameEvent, ids, np.concatenate(e_codes), np.concatenate(e_times), kinds)
+    return TransactionLog(records=records.sorted(), events=events.sorted())
 
 
 def _draw_customers(config, rng):

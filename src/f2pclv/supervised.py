@@ -17,12 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .data import (
-    EVENT_KINDS,
     TransactionLog,
     _distinct_days,
-    _event_kinds,
     _group_by_customer,
-    _purchase_values,
     read_columns,
     write_csv,
 )
@@ -97,14 +94,14 @@ def extract_features(
 
     e_rows, e_days, e_keep = early(e_codes, e_times)
     r_rows, r_days, r_keep = early(r_codes, r_times)
-    kinds = _event_kinds(log.events)[e_keep]
+    kinds = log.events.payload[e_keep]
     active_rows, _ = _distinct_days(np.concatenate([e_rows, r_rows]), np.concatenate([e_days, r_days]))
-    amounts = _purchase_values(log.records)
+    amounts = log.records.payload
     horizon = included[r_codes] & (r_times - first[r_codes] <= target_horizon)
     # bincount adds the weights in row order, as a running sum per player would
     values = np.column_stack([
-        np.bincount(e_rows[kinds == EVENT_KINDS.index("session_start")], minlength=n),
-        np.bincount(e_rows[kinds == EVENT_KINDS.index("round_played")], minlength=n),
+        np.bincount(e_rows[kinds == "session_start"], minlength=n),
+        np.bincount(e_rows[kinds == "round_played"], minlength=n),
         np.bincount(active_rows, minlength=n),
         np.bincount(r_rows, minlength=n),
         np.bincount(r_rows, weights=amounts[r_keep], minlength=n),
@@ -186,9 +183,11 @@ class SyntheticRow:
 
 def _neighbor_distances(z_cont, cat, penalty_sq):
     """Squared distances between minority rows: standardized continuous
-    Euclidean plus the SMOTE-NC penalty per differing categorical value."""
-    diff = z_cont[:, None, :] - z_cont[None, :, :]
-    d2 = np.sum(diff**2, axis=2)
+    Euclidean plus the SMOTE-NC penalty per differing categorical value.
+    The squares add one feature at a time into one n x n matrix."""
+    d2 = np.zeros((len(z_cont), len(z_cont)))
+    for column in z_cont.T:
+        d2 += (column[:, None] - column[None, :]) ** 2
     if cat.shape[1]:
         mismatches = (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
         d2 = d2 + penalty_sq * mismatches

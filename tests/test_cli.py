@@ -214,6 +214,18 @@ def test_forest_save_load_predict_identical(workspace, tmp_path):
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("kind", ["retention", "monetization"])
+def test_negative_curve_days_is_data_error(workspace, tmp_path, capsys, kind):
+    out = tmp_path / "curve.csv"
+    code = main([
+        "summarize", "--kind", kind, "--transactions", str(workspace / "sim" / "transactions.csv"),
+        "--days", "-3", "--out", str(out),
+    ])
+    assert code == 2
+    assert "n_days" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_reports(workspace, tmp_path):
     out_dir = tmp_path / "seg"
     assert main([

@@ -63,13 +63,13 @@ class TestParsing:
     def test_iso_dates(self):
         src = "customer_id,timestamp,value\na,1970-01-11,5\n"
         result = parse_transaction_log(src, ColumnMapping(iso_dates=True))
-        assert result.log.records[0].timestamp == 10.0
+        assert list(result.log.records)[0].timestamp == 10.0
 
     def test_custom_mapping_and_delimiter(self):
         src = "uid;t;amount\nx;2;7\n"
         mapping = ColumnMapping(customer_id="uid", timestamp="t", value="amount", delimiter=";")
         result = parse_transaction_log(src, mapping)
-        assert result.log.records == [Transaction("x", 2.0, 7.0)]
+        assert list(result.log.records) == [Transaction("x", 2.0, 7.0)]
 
     def test_event_parsing_rejects_unknown_kinds(self):
         src = "customer_id,timestamp,event_kind\na,0,session_start\na,1,level_up\n"
@@ -88,7 +88,7 @@ class TestParsing:
         first = "1970-01-01" if iso_dates else "0"
         src = f"customer_id,timestamp,value\na,{first},5\nb,1970-01-02\nc\n"
         result = parse_transaction_log(src, ColumnMapping(iso_dates=iso_dates))
-        assert result.log.records == [Transaction("a", 0.0, 5.0)]
+        assert list(result.log.records) == [Transaction("a", 0.0, 5.0)]
         assert (result.total_rows, result.rejected_rows) == (3, 2)
         events = parse_event_log("customer_id,timestamp,event_kind\na,0,purchase\nb,1\n")
         assert (events.total_rows, events.rejected_rows) == (2, 1)
@@ -96,13 +96,13 @@ class TestParsing:
     def test_extra_trailing_cells_ignored(self):
         src = "customer_id,timestamp,value\na,0,5,extra,cells\n"
         result = parse_transaction_log(src)
-        assert result.log.records == [Transaction("a", 0.0, 5.0)]
+        assert list(result.log.records) == [Transaction("a", 0.0, 5.0)]
         assert result.rejected_rows == 0
 
     def test_mapped_column_named_twice_reads_last_occurrence(self):
         src = "value,customer_id,timestamp,value\n1,a,0,5\n"
         result = parse_transaction_log(src)
-        assert result.log.records == [Transaction("a", 0.0, 5.0)]
+        assert list(result.log.records) == [Transaction("a", 0.0, 5.0)]
 
     def test_simulator_emitter_round_trip(self, tmp_path):
         config = SimConfig(
@@ -123,8 +123,8 @@ class TestParsing:
             re_log = parse_transaction_log(fh).log
         with open(e_path) as fh:
             re_events = parse_event_log(fh).log
-        assert re_log.records == log.records
-        assert re_events.events == log.events
+        assert list(re_log.records) == list(log.records)
+        assert list(re_events.events) == list(log.events)
 
 
 class TestRFMSummary:
@@ -190,11 +190,11 @@ class TestSplit:
 
     def test_cutoff_beyond_last(self):
         cal, hold = split_calibration_holdout(self._log(), 100.0)
-        assert len(cal.records) == 10 and hold.records == []
+        assert len(cal.records) == 10 and list(hold.records) == []
 
     def test_cutoff_zero(self):
         cal, hold = split_calibration_holdout(self._log(), 0.0)
-        assert cal.records == [] and len(hold.records) == 10
+        assert list(cal.records) == [] and len(hold.records) == 10
 
     def test_conservation_for_random_cutoffs(self):
         log = self._log()
@@ -202,7 +202,7 @@ class TestSplit:
             cal, hold = split_calibration_holdout(log, cutoff)
             assert len(cal.records) + len(hold.records) == len(log.records)
             assert len(cal.events) + len(hold.events) == len(log.events)
-            assert sorted(cal.records + hold.records, key=lambda r: r.timestamp) == log.records
+            assert sorted([*cal.records, *hold.records], key=lambda r: r.timestamp) == list(log.records)
             assert all(r.timestamp < cutoff for r in cal.records)
             assert all(r.timestamp >= cutoff for r in hold.records)
 
@@ -227,6 +227,12 @@ class TestCurves:
     def test_daily_active_fractions_of_an_empty_log(self):
         with pytest.raises(DataError):
             daily_active_fractions(TransactionLog(), 3)
+
+    @pytest.mark.parametrize("curve", [daily_active_fractions, cumulative_revenue_fractions])
+    def test_negative_days_is_a_data_error(self, curve):
+        log = TransactionLog(records=[Transaction("a", 0.0, 1.0)])
+        with pytest.raises(DataError, match="n_days"):
+            curve(log, -3)
 
     def test_revenue_adds_a_day_in_log_order(self):
         # In log order day 0 sums to (1e16 + 1) - 1e16 = 0; in time order it

@@ -115,11 +115,11 @@ class TestParetoNBDCohort:
     def test_seed_determinism(self):
         log1, t1 = simulate_pareto_nbd_cohort(_pareto_config(seed=9))
         log2, t2 = simulate_pareto_nbd_cohort(_pareto_config(seed=9))
-        assert log1.records == log2.records
-        assert log1.events == log2.events
+        assert list(log1.records) == list(log2.records)
+        assert list(log1.events) == list(log2.events)
         assert np.array_equal(t1.lam, t2.lam)
         log3, _ = simulate_pareto_nbd_cohort(_pareto_config(seed=10))
-        assert log3.records != log1.records
+        assert list(log3.records) != list(log1.records)
 
 
 class TestBGNBDCohort:
@@ -186,8 +186,8 @@ class TestBGNBDCohort:
         )
         log1, _ = simulate_bg_nbd_cohort(config)
         log2, _ = simulate_bg_nbd_cohort(config)
-        assert log1.records == log2.records
-        assert log1.events == log2.events
+        assert list(log1.records) == list(log2.records)
+        assert list(log1.events) == list(log2.events)
 
 
 class TestMarkovCohort:

@@ -25,6 +25,7 @@ from f2pclv.supervised import (
     smote_nc_regression,
     write_feature_csv,
 )
+from f2pclv.supervised import _neighbor_distances
 
 
 class TestExtractFeatures:
@@ -165,6 +166,23 @@ class TestFeatureCsv:
 
 
 class TestSmote:
+    @pytest.mark.parametrize("n_features", [1, 5, 7, 8, 12])
+    def test_neighbor_distances_equal_the_difference_tensor(self, n_features):
+        # Below 8 features NumPy's sum over the last axis adds in feature
+        # order, as the per-feature loop does; from 8 on it adds eight
+        # partial sums, which can round differently in the last bits.
+        rng = np.random.default_rng(n_features)
+        z = rng.standard_normal((60, n_features)) * rng.uniform(0.1, 100.0, n_features)
+        cat = rng.integers(0, 3, (60, 2))
+        mismatches = (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
+        reference = np.sum((z[:, None, :] - z[None, :, :]) ** 2, axis=2)
+        for cats, expected in ((cat[:, :0], reference), (cat, reference + 4.0 * mismatches)):
+            d2 = _neighbor_distances(z, cats, 4.0)
+            if n_features < 8:
+                assert d2.tobytes() == expected.tobytes()
+            else:
+                np.testing.assert_allclose(d2, expected, rtol=n_features * np.finfo(float).eps, atol=0)
+
     def test_identical_minority_rows_reproduce_exactly(self):
         values = np.vstack([np.tile([1.0, 2.0, 5.0], (4, 1)), np.zeros((16, 3))])
         y = np.array([10.0] * 4 + [0.0] * 16)
