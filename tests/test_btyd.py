@@ -177,6 +177,73 @@ class TestLikelihoodProperties:
             assert p_alive(params, 0, 0.0, T) == 1.0
 
 
+def _mp_pareto(params, x, t_x, T):
+    """(log-likelihood, p_alive) of one Pareto/NBD row in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        r, alpha, s, beta = (mpmath.mpf(v) for v in (params.r, params.alpha, params.s, params.beta))
+        x, t_x, T = (mpmath.mpf(v) for v in (x, t_x, T))
+        base, b = (alpha, s + 1) if alpha >= beta else (beta, r + x)
+
+        def tail(t):
+            q = base + t
+            return mpmath.hyp2f1(r + s + x, b, r + s + x + 1, abs(alpha - beta) / q) / q ** (r + s + x)
+
+        alive = 1 / ((alpha + T) ** (r + x) * (beta + T) ** s)
+        dead = s / (r + s + x) * (tail(t_x) - tail(T))
+        log_base = mpmath.loggamma(r + x) - mpmath.loggamma(r) + r * mpmath.log(alpha) + s * mpmath.log(beta)
+        return float(log_base + mpmath.log(alive + dead)), float(alive / (alive + dead))
+
+
+class TestParetoHypergeometric:
+    """The Pareto/NBD 2F1(a, b; a+1; z), a = r+s+x, b = s+1 or r+x, is summed
+    in Euler's form; heavy buyers make b large."""
+
+    # alpha < beta, so b = r+x; z = 19/21.2 = 0.896 at the recency
+    WHALE = ParetoNBDParams(0.5, 1.0, 0.6, 20.0)
+
+    @pytest.mark.parametrize(
+        "x,T", [(900, 400.0), (4000, 400.0), (900, 1.25), (4000, 1.21)]
+    )
+    def test_whale_rows_match_mpmath(self, x, T):
+        ll_ref, alive_ref = _mp_pareto(self.WHALE, x, 1.2, T)
+        assert pareto_nbd_loglik(self.WHALE, x, 1.2, T) == pytest.approx(ll_ref, rel=1e-12)
+        got = p_alive(self.WHALE, x, 1.2, T)
+        assert np.isfinite(got)
+        assert got == pytest.approx(alive_ref, rel=1e-10, abs=0.0)
+
+    def test_cohort_with_whales_fits_from_its_first_start(self):
+        truth = ParetoNBDParams(0.5, 10.0, 0.6, 12.0)
+        _, sim = simulate_pareto_nbd_cohort(SimConfig(2000, 730.0, truth, seed=5, build_log=False))
+        x = np.concatenate([sim.frequency, [1500, 2500, 4000]]).astype(float)
+        t_x = np.concatenate([sim.recency, [700.0, 720.0, 729.0]])
+        T = np.concatenate([sim.age, [730.0] * 3])
+        fit = fit_pareto_nbd(summaries_from_arrays(x, t_x, T, np.zeros_like(x)))
+        assert fit.converged and fit.n_starts == 1
+        assert np.isfinite(fit.nll)
+        assert fit.nll == pytest.approx(-float(np.sum(pareto_nbd_loglik(fit.params, x, t_x, T))), rel=1e-9)
+
+    def test_accuracy_contract_against_mpmath(self):
+        # the family the library passes: r, s in [0.03, 10], x in [0, 1200],
+        # z in [0, 0.9] crowded just below the switch to the connection
+        # formula. With base + t = 1 the tail term is log F itself.
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for i in range(300):
+            r, s = np.exp(rng.uniform(np.log(0.03), np.log(10.0), 2))
+            x = float(rng.integers(0, 1201) if i % 3 else rng.integers(0, 30))
+            z = 0.9 - 10.0 ** rng.uniform(-8, -1) if i % 2 else rng.uniform(0.0, 0.9)
+            for alpha, beta in ((1.0, 1.0 - z), (1.0 - z, 1.0)):
+                z_row = abs(alpha - beta)
+                a = r + s + x
+                b = s + 1.0 if alpha >= beta else r + x
+                assert b < a + 1.0
+                got = btyd._pareto_tail_term(r, alpha, s, beta, np.array([x]), np.array([0.0]))[0]
+                with mpmath.workdps(40):
+                    ref = float(mpmath.log(mpmath.hyp2f1(a, b, a + 1, mpmath.mpf(z_row))))
+                worst = max(worst, abs(got - ref))
+        assert worst <= 1e-11
+
+
 class TestExpectedTransactions:
     @pytest.mark.parametrize(
         "params", [ParetoNBDParams(0.5, 10.0, 0.6, 12.0), BGNBDParams(0.4, 8.0, 0.8, 2.5)]
