@@ -13,15 +13,15 @@ equal-length arrays for (frequency, recency, age).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betaln, expit, gammaln
+from scipy.special import betaln, digamma, expit, gammaln
 
 from .data import RFMSummary, summary_arrays
 from .errors import DataError, NumericalError
-from .fitting import DEFAULT_RESTARTS, minimize_multistart
+from .fitting import DEFAULT_RESTARTS, StartRecord, minimize_multistart
 from .special import log_hyp2f1
 
 
@@ -71,6 +71,8 @@ class FitResult:
     converged: bool
     penalizer: float
     n_starts: int = 1
+    # one record per optimizer start, in order
+    starts: list[StartRecord] = field(default_factory=list)
 
 
 def _as_arrays(*values):
@@ -100,10 +102,12 @@ def _log1mexp(delta):
 # Pareto/NBD
 
 
-def _pareto_tail_term(r, alpha, s, beta, x, t):
+def _pareto_tail_term(r, alpha, s, beta, x, t, grad=False):
     """log of 2F1(r+s+x, b; r+s+x+1; |alpha-beta|/(base+t)) / (base+t)^(r+s+x)
     with (base, b) = (alpha, s+1) if alpha >= beta else (beta, r+x): up to
-    constants, the likelihood mass of dying after time t.
+    constants, the likelihood mass of dying after time t. With grad, returns
+    (term, d_term), d_term its (4, rows) gradient in (log r, log alpha,
+    log s, log beta).
 
     The 2F1 is summed in Euler's form, 2F1(a, b; a+1; z) =
     (1-z)^(1-b) 2F1(1, a+1-b; a+1; z) with a = r+s+x, where a+1-b is r+x
@@ -113,13 +117,30 @@ def _pareto_tail_term(r, alpha, s, beta, x, t):
     every row stops within about 260 terms whatever its purchase count."""
     rsx = r + s + x
     if alpha >= beta:
-        base, b, b_euler = alpha, s + 1.0, r + x
+        base, other, b, b_euler = alpha, beta, s + 1.0, r + x
     else:
-        base, b, b_euler = beta, r + x, np.full_like(x, s + 1.0)
+        base, other, b, b_euler = beta, alpha, r + x, np.full_like(x, s + 1.0)
     q = base + t
     z = abs(alpha - beta) / q
-    _, log_f = log_hyp2f1(1.0, b_euler, rsx + 1.0, z)
-    return log_f + (1.0 - b) * np.log1p(-z) - rsx * np.log(q)
+    if not grad:
+        _, log_f = log_hyp2f1(1.0, b_euler, rsx + 1.0, z)
+        return log_f + (1.0 - b) * np.log1p(-z) - rsx * np.log(q)
+    # z = (base - other) / q: at alpha = beta the kink of |alpha - beta| is
+    # taken from the side of the branch, where the term is smooth
+    j_base, j_other = (1, 3) if alpha >= beta else (3, 1)
+    d_r, d_s = np.array([[r], [0.0], [0.0], [0.0]]), np.array([[0.0], [0.0], [s], [0.0]])
+    d_b_euler, d_b = (d_r, d_s) if alpha >= beta else (d_s, d_r)
+    d_rsx = d_r + d_s
+    dz = np.zeros((4, z.size))
+    dz[j_base] = base * (other + t) / q**2
+    dz[j_other] = -other / q
+    d_log_q = np.zeros((4, z.size))
+    d_log_q[j_base] = base / q
+    _, log_f, d_log_f = log_hyp2f1(1.0, b_euler, rsx + 1.0, z, tangents=(None, d_b_euler, d_rsx, dz))
+    log_1mz, log_q = np.log1p(-z), np.log(q)
+    term = log_f + (1.0 - b) * log_1mz - rsx * log_q
+    d_term = d_log_f - d_b * log_1mz - (1.0 - b) * dz / (1.0 - z) - d_rsx * log_q - rsx * d_log_q
+    return term, d_term
 
 
 def _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2, gammaln_rx):
@@ -131,6 +152,26 @@ def _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2, gammaln_rx):
     log_alive = -(r + x) * np.log(alpha + T) - s * np.log(beta + T)
     log_dead = np.log(s) - np.log(r + s + x) + log_a0
     return log_base + np.logaddexp(log_alive, log_dead), log_alive, log_dead
+
+
+def _pareto_loglik_gradient(r, alpha, s, beta, x, T, term1, term2, d_term1, d_term2, digamma_rx, log_alive, log_dead):
+    """(4, rows) gradient in (log r, log alpha, log s, log beta) of the ll of
+    _pareto_loglik_terms, given the tail terms' gradients, digamma(r + x)
+    and its log_alive and log_dead."""
+    rsx = r + s + x
+    delta = np.minimum(term2 - term1, 0.0)
+    # log_a0 = log(e^term1 - e^term2); rows with t_x = T have no dead mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_log_a0 = np.where(delta < 0.0, (d_term1 - np.exp(delta) * d_term2) / -np.expm1(delta), 0.0)
+    zero = np.zeros_like(rsx)
+    d_log_dead = d_log_a0 + np.stack([-r / rsx, zero, 1.0 - s / rsx, zero])
+    d_log_alive = np.stack([
+        -r * np.log(alpha + T), -(r + x) * alpha / (alpha + T), -s * np.log(beta + T), -s * beta / (beta + T)
+    ])
+    d_log_base = np.stack([
+        r * (digamma_rx - digamma(r) + np.log(alpha)), zero + r, zero + s * np.log(beta), zero + s
+    ])
+    return d_log_base + d_log_alive + expit(log_dead - log_alive) * (d_log_dead - d_log_alive)
 
 
 def _pareto_loglik_arrays(r, alpha, s, beta, x, t_x, T):
@@ -187,6 +228,17 @@ def _bg_log_base(r, alpha, a, b, x):
     )
 
 
+def _bg_log_base_gradient(r, alpha, a, b, x):
+    """(4, len(x)) gradient of _bg_log_base in (log r, log alpha, log a, log b)."""
+    psi_ab, psi_abx = digamma(a + b), digamma(a + b + x)
+    return np.stack([
+        r * (digamma(r + x) - digamma(r) + np.log(alpha)),
+        np.full_like(x, r),
+        a * (psi_ab - psi_abx),
+        b * (psi_ab + digamma(b + x) - digamma(b) - psi_abx),
+    ])
+
+
 def _bg_log_alive_dead(r, alpha, a, b, x, t_x, T):
     """(log_alive, log_dead): the BG/NBD likelihood of the history for a
     customer still alive at T and for one who dropped out at t_x, less the
@@ -200,6 +252,21 @@ def _bg_log_alive_dead(r, alpha, a, b, x, t_x, T):
             -np.inf,
         )
     return log_alive, log_dead
+
+
+def _bg_alive_dead_gradient(r, alpha, a, b, x, t_x, T, log_alive, log_dead):
+    """(4, rows) gradient in (log r, log alpha, log a, log b) of
+    logaddexp(log_alive, log_dead) from _bg_log_alive_dead."""
+    zero = np.zeros_like(x)
+    d_log_alive = np.stack([-r * np.log(alpha + T), -(r + x) * alpha / (alpha + T), zero, zero])
+    # zero-repeat rows have no dead mass; their b + x - 1 may be 0
+    d_log_dead = np.stack([
+        -r * np.log(alpha + t_x),
+        -(r + x) * alpha / (alpha + t_x),
+        zero + 1.0,
+        -b / np.where(x > 0, b + x - 1.0, 1.0),
+    ])
+    return d_log_alive + expit(log_dead - log_alive) * (d_log_dead - d_log_alive)
 
 
 def bg_nbd_loglik(params: BGNBDParams, frequency, recency, age):
@@ -314,6 +381,17 @@ def _gamma_gamma_loglik_arrays(p, q, g, x, m, log_beta):
     return q * np.log(g) - log_beta - np.log(m) - px * np.log1p(g / (x * m)) - q * np.log(g + x * m)
 
 
+def _gamma_gamma_loglik_gradient(p, q, g, x, m, digamma_px, digamma_pxq):
+    """(3, rows) gradient in (log p, log q, log gamma) of
+    _gamma_gamma_loglik_arrays, given digamma(p * x) and digamma(p * x + q)."""
+    px = p * x
+    return np.stack([
+        -px * (digamma_px - digamma_pxq) - px * np.log1p(g / (x * m)),
+        q * np.log(g) - q * (digamma(q) - digamma_pxq) - q * np.log(g + x * m),
+        q - (px + q) * g / (g + x * m),
+    ])
+
+
 def gamma_gamma_loglik(params: GammaGammaParams, frequency, monetary_value):
     """Log-likelihood of the mean observed spend of a repeat customer."""
     x, m = _as_arrays(frequency, monetary_value)
@@ -361,8 +439,9 @@ def _distinct_rows(*columns):
 
 
 def _fit(loglik_fn, n_customers, x0, penalizer, restarts, seed, builder):
-    """Maximize loglik_fn(params), the cohort's total log-likelihood. The
-    optimizer sees the penalized NLL per customer; FitResult.nll is the total."""
+    """Maximize loglik_fn(params), which returns the cohort's total
+    log-likelihood and its gradient in the log-parameters. The optimizer sees
+    the penalized NLL per customer; FitResult.nll is the total."""
     if penalizer < 0:
         raise DataError("penalizer must be >= 0")
 
@@ -370,10 +449,11 @@ def _fit(loglik_fn, n_customers, x0, penalizer, restarts, seed, builder):
         vec = np.exp(theta)
         with np.errstate(all="ignore"):
             try:
-                total = float(loglik_fn(vec))
+                total, grad = loglik_fn(vec)
             except (NumericalError, FloatingPointError):
-                return np.inf
-        return (-total + penalizer * float(np.sum(vec**2))) / n_customers
+                return np.inf, np.full_like(theta, np.nan)
+        penalty = penalizer * vec**2
+        return (-float(total) + float(np.sum(penalty))) / n_customers, (2.0 * penalty - grad) / n_customers
 
     res = minimize_multistart(objective, np.log(x0), restarts=restarts, seed=seed)
     params = builder([float(v) for v in np.exp(res.x)])
@@ -384,6 +464,7 @@ def _fit(loglik_fn, n_customers, x0, penalizer, restarts, seed, builder):
         converged=res.converged,
         penalizer=penalizer,
         n_starts=res.n_starts,
+        starts=res.starts,
     )
 
 
@@ -416,10 +497,16 @@ def fit_pareto_nbd(
 
     def loglik(vec):
         r, alpha, s, beta = vec
-        tail = _pareto_tail_term(r, alpha, s, beta, tail_x, tail_t)
-        gammaln_rx = gammaln(r + x_values)[at_x]
-        ll, _, _ = _pareto_loglik_terms(r, alpha, s, beta, x, T, tail[at_recency], tail[at_age], gammaln_rx)
-        return counts @ ll
+        tail, d_tail = _pareto_tail_term(r, alpha, s, beta, tail_x, tail_t, grad=True)
+        term1, term2 = tail[at_recency], tail[at_age]
+        ll, log_alive, log_dead = _pareto_loglik_terms(
+            r, alpha, s, beta, x, T, term1, term2, gammaln(r + x_values)[at_x]
+        )
+        d_ll = _pareto_loglik_gradient(
+            r, alpha, s, beta, x, T, term1, term2, d_tail[:, at_recency], d_tail[:, at_age],
+            digamma(r + x_values)[at_x], log_alive, log_dead,
+        )
+        return counts @ ll, d_ll @ counts
 
     return _fit(loglik, len(summaries), x0, penalizer, restarts, seed, lambda v: ParetoNBDParams(*v))
 
@@ -451,7 +538,11 @@ def fit_bg_nbd(
     def loglik(vec):
         r, alpha, a, b = vec
         log_base = _bg_log_base(r, alpha, a, b, x_values)[at_x]
-        return counts @ (log_base + np.logaddexp(*_bg_log_alive_dead(r, alpha, a, b, x, t_x, T)))
+        log_alive, log_dead = _bg_log_alive_dead(r, alpha, a, b, x, t_x, T)
+        d_ll = _bg_log_base_gradient(r, alpha, a, b, x_values)[:, at_x] + _bg_alive_dead_gradient(
+            r, alpha, a, b, x, t_x, T, log_alive, log_dead
+        )
+        return counts @ (log_base + np.logaddexp(log_alive, log_dead)), d_ll @ counts
 
     return _fit(loglik, len(summaries), x0, penalizer, restarts, seed, lambda v: BGNBDParams(*v))
 
@@ -481,13 +572,16 @@ def fit_gamma_gamma(
     else:
         x0 = np.array([1.0, 2.0, max(m.mean(), 1e-6)])
 
-    # spend is continuous and rows do not repeat, but betaln, the costliest
-    # term, depends on x alone
+    # spend is continuous and rows do not repeat, but betaln and digamma,
+    # the costliest terms, depend on x alone
     x_values, at_x = np.unique(x, return_inverse=True)
 
     def loglik(vec):
         p, q, g = vec
-        return np.sum(_gamma_gamma_loglik_arrays(p, q, g, x, m, betaln(p * x_values, q)[at_x]))
+        px = p * x_values
+        ll = _gamma_gamma_loglik_arrays(p, q, g, x, m, betaln(px, q)[at_x])
+        d_ll = _gamma_gamma_loglik_gradient(p, q, g, x, m, digamma(px)[at_x], digamma(px + q)[at_x])
+        return np.sum(ll), d_ll.sum(axis=1)
 
     return _fit(loglik, x.size, x0, penalizer, restarts, seed, lambda v: GammaGammaParams(*v))
 

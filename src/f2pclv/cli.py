@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,7 @@ def cmd_fit(args):
             "nll": result.nll,
             "n_evaluations": result.n_evaluations,
             "n_starts": result.n_starts,
+            "starts": [asdict(start) for start in result.starts],
             "converged": result.converged,
             "penalizer": result.penalizer,
         }

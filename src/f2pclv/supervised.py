@@ -234,8 +234,7 @@ def smote_nc_regression(
     # With standardized continuous features the per-feature std is 1, so
     # the categorical penalty (the median of those stds) is 1 unless every
     # continuous feature is degenerate.
-    live = sd > 0
-    penalty = float(np.median(np.ones(live.sum()))) if live.any() else 0.0
+    penalty = 1.0 if (sd > 0).any() else 0.0
     d2 = _neighbor_distances(z_cont, x_min[:, cat_cols], penalty**2)
     np.fill_diagonal(d2, np.inf)
     neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, : config.k_neighbors]

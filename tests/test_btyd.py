@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln
 
 from f2pclv import btyd
 from f2pclv.btyd import (
@@ -177,21 +177,27 @@ class TestLikelihoodProperties:
             assert p_alive(params, 0, 0.0, T) == 1.0
 
 
+def _mp_pareto_terms(r, alpha, s, beta, x, t_x, T):
+    """(log-likelihood, p_alive) of one Pareto/NBD row, as mpmath numbers at
+    the working precision."""
+    base, b = (alpha, s + 1) if alpha >= beta else (beta, r + x)
+
+    def tail(t):
+        q = base + t
+        return mpmath.hyp2f1(r + s + x, b, r + s + x + 1, abs(alpha - beta) / q) / q ** (r + s + x)
+
+    alive = 1 / ((alpha + T) ** (r + x) * (beta + T) ** s)
+    dead = s / (r + s + x) * (tail(t_x) - tail(T))
+    log_base = mpmath.loggamma(r + x) - mpmath.loggamma(r) + r * mpmath.log(alpha) + s * mpmath.log(beta)
+    return log_base + mpmath.log(alive + dead), alive / (alive + dead)
+
+
 def _mp_pareto(params, x, t_x, T):
     """(log-likelihood, p_alive) of one Pareto/NBD row in 40-digit mpmath."""
     with mpmath.workdps(40):
-        r, alpha, s, beta = (mpmath.mpf(v) for v in (params.r, params.alpha, params.s, params.beta))
-        x, t_x, T = (mpmath.mpf(v) for v in (x, t_x, T))
-        base, b = (alpha, s + 1) if alpha >= beta else (beta, r + x)
-
-        def tail(t):
-            q = base + t
-            return mpmath.hyp2f1(r + s + x, b, r + s + x + 1, abs(alpha - beta) / q) / q ** (r + s + x)
-
-        alive = 1 / ((alpha + T) ** (r + x) * (beta + T) ** s)
-        dead = s / (r + s + x) * (tail(t_x) - tail(T))
-        log_base = mpmath.loggamma(r + x) - mpmath.loggamma(r) + r * mpmath.log(alpha) + s * mpmath.log(beta)
-        return float(log_base + mpmath.log(alive + dead)), float(alive / (alive + dead))
+        values = (params.r, params.alpha, params.s, params.beta, x, t_x, T)
+        ll, alive = _mp_pareto_terms(*(mpmath.mpf(v) for v in values))
+        return float(ll), float(alive)
 
 
 class TestParetoHypergeometric:
@@ -242,6 +248,128 @@ class TestParetoHypergeometric:
                     ref = float(mpmath.log(mpmath.hyp2f1(a, b, a + 1, mpmath.mpf(z_row))))
                 worst = max(worst, abs(got - ref))
         assert worst <= 1e-11
+
+
+def _mp_log_gradient(loglik, params, row):
+    """Gradient of loglik(*params, *row) in the log-parameters, by 30-digit
+    mpmath differentiation."""
+    with mpmath.workdps(30):
+        theta = [mpmath.log(mpmath.mpf(v)) for v in params]
+        row = [mpmath.mpf(v) for v in row]
+
+        def along(j):
+            return lambda h: loglik(*(mpmath.exp(t + h if i == j else t) for i, t in enumerate(theta)), *row)
+
+        return np.array([float(mpmath.diff(along(j), 0)) for j in range(len(theta))])
+
+
+def _mp_bg_loglik(r, alpha, a, b, x, t_x, T):
+    log_base = (
+        mpmath.loggamma(r + x) - mpmath.loggamma(r) + r * mpmath.log(alpha)
+        + mpmath.loggamma(a + b) + mpmath.loggamma(b + x) - mpmath.loggamma(b) - mpmath.loggamma(a + b + x)
+    )
+    dead = a / (b + x - 1) / (alpha + t_x) ** (r + x) if x > 0 else 0
+    return log_base + mpmath.log((alpha + T) ** -(r + x) + dead)
+
+
+def _mp_gamma_gamma_loglik(p, q, g, x, m):
+    # density of the mean of x gamma(p, nu) spends, nu ~ gamma(q, g)
+    return (
+        -mpmath.log(mpmath.beta(p * x, q)) + q * mpmath.log(g) + (p * x - 1) * mpmath.log(m)
+        + p * x * mpmath.log(x) - (p * x + q) * mpmath.log(g + m * x)
+    )
+
+
+class TestLogLikelihoodGradients:
+    """The fits' exact gradients in the log-parameters, row by row, against
+    30-digit mpmath derivatives at random parameters."""
+
+    RTOL = 1e-8
+
+    BETA_OVER_ALPHA = {
+        "alpha<beta": 1.0 + 1e-6, "alpha>beta": 1.0 - 1e-6, "alpha=beta": 1.0, "alpha<<beta": 25.0, "alpha>>beta": 0.04,
+    }
+
+    def _check(self, got, loglik, params, rows):
+        for i, row in enumerate(rows):
+            ref = _mp_log_gradient(loglik, params, row)
+            np.testing.assert_allclose(got[:, i], ref, rtol=self.RTOL, atol=self.RTOL, err_msg=f"row {row}")
+
+    @pytest.mark.parametrize("side", list(BETA_OVER_ALPHA))
+    def test_pareto_nbd(self, side):
+        rng = np.random.default_rng(list(self.BETA_OVER_ALPHA).index(side))
+        r, s = np.exp(rng.uniform(np.log(0.05), np.log(5.0), 2))
+        alpha = float(np.exp(rng.uniform(np.log(2.0), np.log(20.0))))
+        beta = alpha * self.BETA_OVER_ALPHA[side]
+        # zero-repeat, repeat, a row of the last purchase right after the
+        # first, and a whale
+        rows = [(0.0, 0.0, 300.0), (3.0, 40.0, 200.0), (2.0, 0.01, 30.0), (float(rng.integers(1000, 4001)), 650.0, 730.0)]
+        x, t_x, T = (np.array(v) for v in zip(*rows))
+        if side in ("alpha<<beta", "alpha>>beta"):
+            # the rows at t_x = 0 and 0.01 go through the connection formula
+            assert np.all(abs(alpha - beta) / (max(alpha, beta) + t_x[[0, 2]]) > 0.9)
+        term1, d_term1 = btyd._pareto_tail_term(r, alpha, s, beta, x, t_x, grad=True)
+        term2, d_term2 = btyd._pareto_tail_term(r, alpha, s, beta, x, T, grad=True)
+        _, log_alive, log_dead = btyd._pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2, gammaln(r + x))
+        got = btyd._pareto_loglik_gradient(
+            r, alpha, s, beta, x, T, term1, term2, d_term1, d_term2, digamma(r + x), log_alive, log_dead
+        )
+        self._check(got, lambda *v: _mp_pareto_terms(*v)[0], (r, alpha, s, beta), rows)
+
+    def test_bg_nbd(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            r, alpha, a, b = np.exp(rng.uniform(np.log([0.1, 1.0, 0.2, 0.5]), np.log([3.0, 30.0, 3.0, 5.0])))
+            rows = [(0.0, 0.0, 200.0), (1.0, 5.0, 100.0), (6.0, 150.0, 365.0), (float(rng.integers(1000, 4001)), 360.0, 365.0)]
+            x, t_x, T = (np.array(v) for v in zip(*rows))
+            log_alive, log_dead = btyd._bg_log_alive_dead(r, alpha, a, b, x, t_x, T)
+            got = btyd._bg_log_base_gradient(r, alpha, a, b, x) + btyd._bg_alive_dead_gradient(
+                r, alpha, a, b, x, t_x, T, log_alive, log_dead
+            )
+            self._check(got, _mp_bg_loglik, (r, alpha, a, b), rows)
+
+    def test_gamma_gamma(self):
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            p, q, g = np.exp(rng.uniform(np.log([0.5, 1.5, 1.0]), np.log([20.0, 10.0, 50.0])))
+            rows = [(1.0, 3.5), (4.0, 20.0), (37.0, 0.8), (float(rng.integers(1000, 4001)), 12.0)]
+            x, m = (np.array(v) for v in zip(*rows))
+            got = btyd._gamma_gamma_loglik_gradient(p, q, g, x, m, digamma(p * x), digamma(p * x + q))
+            self._check(got, _mp_gamma_gamma_loglik, (p, q, g), rows)
+
+    @pytest.mark.parametrize(
+        "fit, simulate, truth",
+        [
+            (fit_pareto_nbd, simulate_pareto_nbd_cohort, ParetoNBDParams(0.5, 10.0, 0.6, 12.0)),
+            (fit_bg_nbd, simulate_bg_nbd_cohort, BGNBDParams(0.4, 8.0, 0.8, 2.5)),
+            (fit_gamma_gamma, simulate_pareto_nbd_cohort, ParetoNBDParams(0.5, 10.0, 0.6, 12.0)),
+        ],
+        ids=["pareto_nbd", "bg_nbd", "gamma_gamma"],
+    )
+    def test_penalized_objective_gradient(self, monkeypatch, fit, simulate, truth):
+        # the objective the optimizer sees: distinct rows weighted by their
+        # counts, per customer, with the penalizer
+        summaries = simulate(SimConfig(500, 365.0, truth, seed=3, build_log=False))[1].summaries()
+        if fit is fit_gamma_gamma:
+            summaries = [s for s in summaries if s.frequency > 0]
+
+        class Captured(Exception):
+            pass
+
+        def capture(objective, x0_log, **kwargs):
+            raise Captured(objective, x0_log)
+
+        monkeypatch.setattr(btyd, "minimize_multistart", capture)
+        with pytest.raises(Captured) as captured:
+            fit(summaries, penalizer=0.3)
+        objective, theta = captured.value.args
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            point = theta + rng.normal(0.0, 0.3, theta.size)
+            _, grad = objective(point)
+            h = 1e-6
+            central = [(objective(point + h * e)[0] - objective(point - h * e)[0]) / (2 * h) for e in np.eye(theta.size)]
+            np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-7)
 
 
 class TestExpectedTransactions:
@@ -415,6 +543,16 @@ class TestFitting:
         assert fit.nll <= truth_nll
         for got, want in ((fit.params.r, 0.5), (fit.params.alpha, 10.0), (fit.params.s, 0.6), (fit.params.beta, 12.0)):
             assert abs(got - want) / want < 0.5, fit.params
+
+    def test_start_ending_at_the_optimum_is_not_restarted(self):
+        # a line search that stalls at the optimum ends its start in
+        # ABNORMAL_TERMINATION_IN_LNSRCH, which counts as a failed start; on
+        # this cohort a noisy gradient did that and a jittered restart ran
+        truth = ParetoNBDParams(0.5, 10.0, 0.6, 12.0)
+        seed = int(np.random.SeedSequence([11, 1, 1]).generate_state(1)[0])
+        config = SimConfig(5000, 730.0, truth, GammaGammaParams(6.0, 4.0, 15.0), seed=seed, build_log=False)
+        fit = fit_pareto_nbd(simulate_pareto_nbd_cohort(config)[1].summaries())
+        assert fit.converged and fit.n_starts == 1
 
     def test_bg_recovery_single_seed_and_runtime_ordering(self):
         config = SimConfig(

@@ -86,9 +86,15 @@ def test_fit_artifact_warm_restart_keeps_nll(workspace):
 def test_fit_reports_its_starts(workspace, tmp_path, capsys):
     out = tmp_path / "bg_starts.json"
     assert main(["fit", "--model", "bg_nbd", "--input", str(workspace / "summaries.csv"), "--out", str(out)]) == 0
-    starts = art.load_artifact(out).parameters["n_starts"]
+    params = art.load_artifact(out).parameters
+    starts = params["n_starts"]
     assert starts >= 1
     assert f"starts={starts} " in capsys.readouterr().out
+    # one record per start; a fit stops at its first converged start
+    assert len(params["starts"]) == starts
+    assert sum(s["n_evals"] for s in params["starts"]) == params["n_evaluations"]
+    assert params["starts"][-1]["converged"] == params["converged"]
+    assert all(isinstance(s["message"], str) and s["message"] for s in params["starts"])
 
 
 def test_gamma_gamma_rejects_zero_frequency_rows(workspace, tmp_path, capsys):

@@ -20,7 +20,7 @@ class Counting:
 
 def bowl(center):
     center = np.asarray(center, dtype=float)
-    return lambda theta: 1.0 + float(np.sum((theta - center) ** 2))
+    return lambda theta: (1.0 + float(np.sum((theta - center) ** 2)), 2.0 * (theta - center))
 
 
 def test_n_evals_counts_every_objective_call():
@@ -42,13 +42,18 @@ def test_minimum_past_the_bound_uses_every_restart():
     assert not res.converged
     assert res.n_starts == 4
     assert res.x[0] == pytest.approx(LOG_PARAM_BOUND)
+    # each start is recorded; none converged, and the lowest is returned
+    assert not any(start.converged for start in res.starts)
+    assert res.fun == min(start.fun for start in res.starts)
 
 
 def test_start_that_met_a_non_finite_value_is_not_converged():
     # the optimum of the finite part lies on the edge of an inf region, so
     # the line search stalls there instead of reaching a stationary point
     def walled(theta):
-        return np.inf if theta[0] > 1.0 else float(np.sum((theta - 3.0) ** 2))
+        if theta[0] > 1.0:
+            return np.inf, np.zeros_like(theta)
+        return float(np.sum((theta - 3.0) ** 2)), 2.0 * (theta - 3.0)
 
     res = minimize_multistart(walled, np.zeros(2), restarts=3)
     assert not res.converged
@@ -56,8 +61,13 @@ def test_start_that_met_a_non_finite_value_is_not_converged():
 
 
 def test_fixed_seed_repeats_exactly():
+    # quartic, so that where a start ends depends on where it began
+    def objective(theta):
+        delta = theta - np.array([LOG_PARAM_BOUND + 10.0, 1.0])
+        return 1.0 + float(np.sum(delta**4)), 4.0 * delta**3
+
     def run(seed):
-        return minimize_multistart(Counting(bowl([LOG_PARAM_BOUND + 10.0, 0.0])), np.zeros(2), restarts=3, seed=seed)
+        return minimize_multistart(Counting(objective), np.zeros(2), restarts=3, seed=seed)
 
     first, again, other = run(7), run(7), run(8)
     assert np.array_equal(first.x, again.x)

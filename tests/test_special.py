@@ -6,7 +6,13 @@ import pytest
 import scipy.special
 
 from f2pclv.errors import NumericalError
-from f2pclv.special import hyp2f1, log_hyp2f1
+from f2pclv.special import log_hyp2f1
+
+
+def hyp2f1(a, b, c, z, **kwargs):
+    """2F1 in linear space, from log_hyp2f1."""
+    sign, log_f = log_hyp2f1(a, b, c, z, **kwargs)
+    return sign * np.exp(log_f)
 
 
 def test_matches_scipy_on_moderate_arguments():
@@ -138,3 +144,31 @@ def test_scalar_interface_returns_floats():
     assert isinstance(out, float)
     sign, log_f = log_hyp2f1(1.2, 2.3, 3.1, 0.4)
     assert isinstance(sign, float) and isinstance(log_f, float)
+
+
+def test_tangents_match_mpmath_directional_derivatives():
+    # two random directions through the direct series and, past z = 0.9,
+    # the connection formula; b is held fixed, which a None tangent says
+    rng = np.random.default_rng(5)
+    n = 40
+    a = rng.uniform(0.1, 8.0, n)
+    b = rng.uniform(0.1, 8.0, n)
+    c = a + b + rng.uniform(0.15, 1.85, n)
+    z = np.concatenate([rng.uniform(0.0, 0.9, n // 2), rng.uniform(0.9001, 0.999, n // 2)])
+    da, dc, dz = rng.normal(size=(3, 2, n))
+    sign, log_f, dlog = log_hyp2f1(a, b, c, z, tangents=(da, None, dc, dz))
+    assert np.array_equal((sign, log_f), log_hyp2f1(a, b, c, z))
+    assert dlog.shape == (2, n)
+    with mpmath.workdps(30):
+        for i in range(n):
+            for j in range(2):
+                ref = mpmath.diff(
+                    lambda h: mpmath.log(mpmath.hyp2f1(a[i] + h * da[j, i], b[i], c[i] + h * dc[j, i], z[i] + h * dz[j, i])),
+                    0,
+                )
+                assert dlog[j, i] == pytest.approx(float(ref), rel=1e-8, abs=1e-10)
+
+
+def test_tangents_require_nonnegative_z():
+    with pytest.raises(ValueError):
+        log_hyp2f1(1.0, 2.0, 3.0, -0.5, tangents=(None, None, None, np.ones(1)))
