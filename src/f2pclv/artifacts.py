@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -102,10 +102,19 @@ def _forest_from_blob(blob: dict) -> FittedForest:
     )
 
 
+# Kinds whose model is one flat dataclass, stored as its fields.
+_DATACLASS_KINDS = {
+    "basic": BasicCLVConfig,
+    "pareto_nbd": ParetoNBDParams,
+    "bg_nbd": BGNBDParams,
+    "gamma_gamma": GammaGammaParams,
+}
+
+
 def model_to_parameters(kind: str, model, fit_info: dict | None = None) -> dict:
     """Serialize a fitted model of the given kind to a JSON-safe dict."""
     info = dict(fit_info or {})
-    if kind in ("basic", "pareto_nbd", "bg_nbd", "gamma_gamma", "forest", "three_stage"):
+    if kind in _DATACLASS_KINDS or kind in ("forest", "three_stage"):
         return {**asdict(model), **info}
     if kind == "retention":
         return {
@@ -137,14 +146,9 @@ def model_from_artifact(artifact: ModelArtifact):
     """Rebuild the in-memory model object(s) from an artifact."""
     p = artifact.parameters
     kind = artifact.model_kind
-    if kind == "basic":
-        return BasicCLVConfig(
-            gross_margin=p["gross_margin"],
-            promotion_cost=p["promotion_cost"],
-            n_periods=p["n_periods"],
-            retention=p["retention"],
-            discount_rate=p["discount_rate"],
-        )
+    if kind in _DATACLASS_KINDS:
+        cls = _DATACLASS_KINDS[kind]
+        return cls(**{f.name: p[f.name] for f in fields(cls)})
     if kind == "retention":
         return RetentionCurve(
             family=p["family"],
@@ -154,12 +158,6 @@ def model_from_artifact(artifact: ModelArtifact):
         )
     if kind == "monetization":
         return MonetizationCurve(knot_days=p["knot_days"], knot_fractions=p["knot_fractions"])
-    if kind == "pareto_nbd":
-        return ParetoNBDParams(r=p["r"], alpha=p["alpha"], s=p["s"], beta=p["beta"])
-    if kind == "bg_nbd":
-        return BGNBDParams(r=p["r"], alpha=p["alpha"], a=p["a"], b=p["b"])
-    if kind == "gamma_gamma":
-        return GammaGammaParams(p=p["p"], q=p["q"], gamma=p["gamma"])
     if kind == "markov":
         space = StateSpace(labels=tuple(p["labels"]), churn_index=p["churn_index"])
         transitions = TransitionMatrix(space=space, matrix=np.array(p["matrix"]))
