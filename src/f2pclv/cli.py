@@ -333,10 +333,9 @@ def cmd_predict(args):
         write_csv(args.out, header, rows)
     elif kind == "gamma_gamma":
         summaries = read_summary_csv(args.input)
-        rows = [
-            [s.customer_id, _fmt(btyd.conditional_expected_value(model, s.frequency, s.monetary_value))]
-            for s in summaries
-        ]
+        x, _, _, m = summary_arrays(summaries)
+        values = np.atleast_1d(btyd.conditional_expected_value(model, x, m))
+        rows = ([s.customer_id, _fmt(v)] for s, v in zip(summaries, values))
         write_csv(args.out, ["customer_id", "expected_value"], rows)
     elif kind == "basic":
         value = cohort.basic_clv(model)

@@ -5,9 +5,21 @@ optimizer step, with moderate parameters but arguments that can approach
 the z = 1 singularity, so this is implemented as one vectorized power
 series, summed in linear space and rescaled by powers of two when a sum
 outgrows double range, together with the standard 1-z connection formula
-near the singularity and Pfaff's transformation for negative z. Every row
-of a call stops summing at its own convergence, so a row gets the same
-value whatever other rows share the call.
+near the singularity and Pfaff's transformation for negative z.
+
+Scoring one customer makes calls of one to a dozen rows, where the cost of
+a term is the interpreter's, not the arithmetic's. So each pass over the
+rows still summing adds a block of terms, up to _MAX_BLOCK and as many as
+fit _BLOCK_CELLS cells; a block's term ratios come from whole-block
+operations and its running terms and sums from one ufunc.accumulate, which
+adds in the order of a term-by-term loop. Past about 150 rows, as in a fit
+step or a batch, a block would be too narrow for the scan to pay, and a
+pass adds one term. Convergence is checked at every 4th term, a block that
+runs past a check whose sum needs rescaling is redone up to it, and every
+row stops summing at its own convergence, so a row gets the same bits
+whatever the width and whatever other rows share the call. That also lets
+a batch call be evaluated in chunks of _CHUNK_ROWS rows, whose arrays stay
+in cache.
 
 The direct series needs about b*z/(1-z) terms, so a large b just below the
 z = 0.9 switch can exhaust MAX_TERMS. The Pareto/NBD likelihood therefore
@@ -54,6 +66,18 @@ _REL_STOP = 1e-16
 _RESCALE = 2.0**500
 _STEP = 400
 
+# A pass of the series adds up to _MAX_BLOCK terms to each row still
+# summing, as many as keep the block within _BLOCK_CELLS cells.
+_BLOCK_CELLS = 2**10
+_MAX_BLOCK = 64
+_OFFSETS = np.arange(_MAX_BLOCK, dtype=float)[:, None]
+
+# Rows are evaluated in chunks of at most this many. A chunk's arrays, 128
+# kB each, stay in cache and in the allocator's reused memory; the arrays of
+# a 200k-row call do neither, and whenever the allocator maps blocks that
+# large afresh, each pass pages them in anew.
+_CHUNK_ROWS = 2**14
+
 
 def _dither_nonpositive_integer(c):
     """Shift c off non-positive integers where the series would divide by 0."""
@@ -68,6 +92,19 @@ def _combine(*pairs):
     return sum(given[1:], given[0]) if given else None
 
 
+def _scan(op, carry, steps, out):
+    """out[j] = carry op steps[0] op ... op steps[j] along axis -2, in the
+    order of a term-by-term loop; carry has length 1 on that axis and out
+    may be steps."""
+    if steps.shape[-2] == 1:
+        op(carry, steps, out=out)
+    else:
+        op(carry, steps[..., :1, :], out=out[..., :1, :])
+        if out is not steps:
+            out[..., 1:, :] = steps[..., 1:, :]
+        op.accumulate(out, axis=-2, out=out)
+
+
 def _series(a, b, c, z, max_terms, tangents=None):
     """Direct power series as (log|sum|, sign, d log|sum|).
 
@@ -77,82 +114,144 @@ def _series(a, b, c, z, max_terms, tangents=None):
     convergence, so a row's value does not depend on the other rows in the
     call.
 
+    Each pass adds a block of up to _MAX_BLOCK terms to the rows still
+    summing, as many as keep the block within _BLOCK_CELLS cells, or one
+    term where that block would be too narrow for its rows (see below): a
+    call with few rows pays the interpreter's per-pass cost once per block.
+    Term n+1 is term n times ratio_n * z; the ratios of a block come from
+    whole-block operations and its running terms and sums from one prefix
+    scan (_scan). Every 4th term is a convergence check, so a row stops at
+    the same term and with the same bits whatever the width. A block that
+    runs past a check whose sum needs rescaling is redone up to that check,
+    where the rescaling ends it.
+
     With tangents (da, db, dc, dz), each (k, rows) or None for an input
     held fixed, d log|sum| is (k, rows), else None. The partial derivatives
     along the inputs with a tangent are summed beside the value, as the
     module docstring describes; along z, n t_n / z is summed as (n+1) times
-    term n+1 before its factor z.
+    term n times ratio_n.
     """
     c = _dither_nonpositive_integer(c)
     total = np.ones_like(z)
     # a row's sum is total * 2**(_STEP * steps)
     steps = np.zeros_like(z)
-    # the series state of the rows still summing
-    rows = np.arange(z.size)
-    term = total.copy()
-    partial = total.copy()
-    state = None
+    m = q = 0
     if tangents is not None:
         coords = [i for i, t in enumerate(tangents) if t is not None]
         poles = [i for i in coords if i < 3]
-        m = len(poles)
-        # per row: the poles, the running sums of their reciprocals, and the
-        # partial derivatives of the sum (poles, then z), in one array so
-        # that the rows still summing are taken from it at once
-        state = np.zeros((2 * m + len(coords), z.size))
-        state[:m] = [(a, b, c)[i] for i in poles]
-        pole, recip_sum, dpartial = state[:m], state[m : 2 * m], state[2 * m :]
-        dtotal = np.zeros((len(coords), z.size))
+        m, q = len(poles), len(coords)
+        if poles and poles[-1] - poles[0] == m - 1:
+            # a slice takes the shifted poles without a copy
+            poles = slice(poles[0], poles[-1] + 1)
+        dtotal = np.zeros((q, z.size))
+    # the rows still summing: their inputs and what each carries into the
+    # next block (its term, its sum, the running sums of the poles'
+    # reciprocals and the partial derivatives of the sum, poles then z), each
+    # in one array that one take compacts
+    rows = np.arange(z.size)
+    inputs = np.array([a, b, c, z])
+    carry = np.zeros((2 + m + q, 1, 1))
+    carry[:2] = 1.0
+    n = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(max_terms):
-            before_z = term * ((a + n) * (b + n)) / ((c + n) * (n + 1.0))
-            term = before_z * z
-            if state is not None:
-                recip_sum += 1.0 / (pole + n)
-                dpartial[:m] += recip_sum * term
-                if m < len(coords):
-                    dpartial[m] += (n + 1.0) * before_z
-            partial = partial + term
-            # the convergence test costs as much as a term; amortize it
-            if n % 4 != 3 and n != max_terms - 1:
-                continue
-            mag = np.abs(partial)
-            big = mag > _RESCALE
-            if big.any():
-                for v in (partial, term, mag):
-                    v[big] = np.ldexp(v[big], -_STEP)
-                if state is not None:
-                    dpartial[:, big] = np.ldexp(dpartial[:, big], -_STEP)
-                steps[rows[big]] += 1.0
-            done = np.abs(term) < SERIES_TOL + _REL_STOP * mag
-            n_done = np.count_nonzero(done)
-            if n_done == 0:
-                continue
+        while n < max_terms:
+            # the rows still summing changed
+            size = rows.size
+            # accumulate runs one strided loop per column, so a block whose
+            # terms are few for its rows would cost more than one term per
+            # pass; for blocks of up to _BLOCK_CELLS cells it is the faster
+            # from about 8 terms, where 4 * width**2 passes the row count
+            full = min(_MAX_BLOCK, _BLOCK_CELLS // size)
+            if 4 * full * full <= size:
+                full = 1
+            # one (1, rows) row per input, so that a block of one term needs
+            # no broadcasting
+            abc, z = inputs[:3, None], inputs[3:]
+            term, partial, recip, dpartial = carry[0], carry[1], carry[2 : 2 + m], carry[2 + m :]
+            redo = 0
+            while n < max_terms:
+                width = redo or min(full, max_terms - n)
+                redo = 0
+                # fresh arrays each pass, as a term-by-term loop makes them:
+                # the allocator hands each pass the memory the last one freed,
+                # where buffers kept for a call would be paged in anew by the
+                # next call
+                block = np.empty((2 + m + q, width, size))
+                block_terms, block_sums, block_recip, block_dsums = block[0], block[1], block[2 : 2 + m], block[2 + m :]
+                k = n + _OFFSETS[:width] if width > 1 else float(n)
+                # a+n, b+n and c+n, which are also the poles
+                shift = np.add(abc, k)
+                ratio = np.multiply(shift[0], shift[1])
+                ratio /= np.multiply(shift[2], k + 1.0)
+                np.multiply(ratio, z, out=block_terms)
+                _scan(np.multiply, term, block_terms, block_terms)
+                _scan(np.add, partial, block_terms, block_sums)
+                if q:
+                    np.divide(1.0, shift[poles], out=block_recip)
+                    _scan(np.add, recip, block_recip, block_recip)
+                    np.multiply(block_recip, block_terms, out=block_dsums[:m])
+                    if m < q:
+                        # along z: (n+1) times term n times ratio_n
+                        dz = block_dsums[m]
+                        np.multiply(term, ratio[:1], out=dz[:1])
+                        if width > 1:
+                            np.multiply(block_terms[:-1], ratio[1:], out=dz[1:])
+                        dz *= k + 1.0
+                    _scan(np.add, dpartial, block_dsums, block_dsums)
+                n += width
+                # the convergence test costs as much as a term; amortize it
+                first = (3 - n + width) % 4
+                if first < width or n == max_terms:
+                    at = slice(first, width, 4)
+                    if n == max_terms and (width - 1 - first) % 4:
+                        at = [*range(first, width, 4), width - 1]
+                    mag = np.abs(block_sums[at])
+                    big = mag > _RESCALE
+                    if big.any():
+                        # the block is redone up to its first check whose
+                        # sum needs rescaling, which then ends it
+                        end = np.arange(width)[at][big.any(axis=1).argmax()] + 1
+                        if end < width:
+                            n -= width
+                            redo = end
+                            continue
+                        big = big[-1]
+                        for v in (block_terms[-1], block_sums[-1], mag[-1]):
+                            v[big] = np.ldexp(v[big], -_STEP)
+                        block_dsums[:, -1, big] = np.ldexp(block_dsums[:, -1, big], -_STEP)
+                        steps[rows[big]] += 1.0
+                    done = np.abs(block_terms[at]) < SERIES_TOL + _REL_STOP * mag
+                    hit = done.any(axis=0) if len(done) > 1 else done[0]
+                    if hit.any():
+                        break
+                term, partial = block_terms[-1:], block_sums[-1:]
+                recip, dpartial = block_recip[:, -1:], block_dsums[:, -1:]
+            else:
+                break
             # positions, not masks: on thousands of rows taking by them is
             # about twice as fast
-            finished = done.nonzero()[0]
-            at = rows.take(finished)
-            total[at] = partial.take(finished)
-            if state is not None:
-                dtotal[:, at] = dpartial.take(finished, axis=1) / partial.take(finished)
-            if n_done == rows.size:
+            finished = hit.nonzero()[0]
+            # argmax along the first axis runs once per column
+            check = done[:, finished].argmax(axis=0) if len(done) > 1 else 0
+            at_rows = rows.take(finished)
+            total[at_rows] = done_sums = block_sums[at][check, finished]
+            if q:
+                dtotal[:, at_rows] = block_dsums[:, at][:, check, finished] / done_sums
+            if finished.size == size:
                 with np.errstate(divide="ignore"):
                     log_f = np.log(np.abs(total)) + steps * (_STEP * np.log(2.0))
-                if state is None:
+                if tangents is None:
                     return log_f, np.sign(total), None
                 return log_f, np.sign(total), _combine(
                     *((-d if i == 2 else d, tangents[i]) for d, i in zip(dtotal, coords))
                 )
-            keep = (~done).nonzero()[0]
-            rows, a, b, c, z, term, partial = (
-                v.take(keep) for v in (rows, a, b, c, z, term, partial)
-            )
-            if state is not None:
-                state = state.take(keep, axis=1)
-                pole, recip_sum, dpartial = state[:m], state[m : 2 * m], state[2 * m :]
+            keep = (~hit).nonzero()[0]
+            rows = rows.take(keep)
+            inputs = inputs.take(keep, axis=1)
+            carry = block[:, -1:].take(keep, axis=2)
     raise NumericalError(
         "2F1 series did not converge within %d terms (max |z| = %.6g)"
-        % (max_terms, float(np.max(np.abs(z))))
+        % (max_terms, float(np.max(np.abs(inputs[3]))))
     )
 
 
@@ -230,10 +329,12 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
     along the j-th of the k directions; this needs 0 <= z < 1.
     """
     scalar = all(np.ndim(v) == 0 for v in (a, b, c, z))
-    a, b, c, z = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c, z))
+    a, b, c, z = (np.asarray(v, dtype=float) for v in (a, b, c, z))
+    shape = np.broadcast(a, b, c, z).shape
+    # an input of the broadcast shape, contiguous, is used as given
+    a, b, c, z = (
+        (v if v.shape == shape and v.flags.c_contiguous else np.full(shape, v)).reshape(-1) for v in (a, b, c, z)
     )
-    a, b, c, z = (np.ascontiguousarray(v) for v in (a, b, c, z))
     if (z >= 1.0).any() or (z < -_Z_SWITCH).any():
         raise ValueError("2F1 evaluation requires -0.9 <= z < 1")
 
@@ -243,11 +344,10 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
         if neg.any():
             raise ValueError("2F1 derivatives require 0 <= z < 1")
         k = next(np.shape(t)[0] for t in tangents if t is not None)
-        shape = () if scalar else z.shape
         tangents = tuple(
-            None if t is None else np.broadcast_to(t, (k,) + shape).reshape((k,) + z.shape) for t in tangents
+            None if t is None else np.broadcast_to(t, (k,) + shape).reshape(k, -1)
+            for t in tangents
         )
-        dlog_f = np.zeros((k,) + z.shape)
     elif neg.any():
         # Pfaff: 2F1(a, b; c; z) = (1-z)^(-b) 2F1(c-a, b; c; z/(z-1)) maps
         # [-0.9, 0) into (0, 0.48), sparing the alternating series its
@@ -256,17 +356,24 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
         a = np.where(neg, c - a, a)
         z = np.where(neg, z / (z - 1.0), z)
 
-    log_f = np.zeros_like(z)
-    sign_f = np.ones_like(z)
-    near = z > _Z_SWITCH
-    for rows, evaluate in ((~near, _series), (near, _connection_log)):
-        if rows.any():
+    log_f, sign_f = np.empty_like(z), np.empty_like(z)
+    dlog_f = None if tangents is None else np.empty((k, z.size))
+    for start in range(0, z.size, _CHUNK_ROWS):
+        chunk = slice(start, start + _CHUNK_ROWS)
+        near = z[chunk] > _Z_SWITCH
+        n_near = np.count_nonzero(near)
+        if n_near in (0, near.size):
+            # every row on one side of the switch: no split
+            parts = [(chunk, _connection_log if n_near else _series)]
+        else:
+            parts = [(start + np.flatnonzero(~near), _series), (start + np.flatnonzero(near), _connection_log)]
+        for rows, evaluate in parts:
             row_tangents = None if tangents is None else tuple(None if t is None else t[:, rows] for t in tangents)
             log_f[rows], sign_f[rows], d = evaluate(a[rows], b[rows], c[rows], z[rows], max_terms, row_tangents)
             if d is not None:
                 dlog_f[:, rows] = d
     log_f = log_f + log_scale
-    values = (float(sign_f[0]), float(log_f[0])) if scalar else (sign_f, log_f)
+    values = (float(sign_f[0]), float(log_f[0])) if scalar else (sign_f.reshape(shape), log_f.reshape(shape))
     if tangents is None:
         return values
-    return values + (dlog_f[:, 0] if scalar else dlog_f,)
+    return values + (dlog_f[:, 0] if scalar else dlog_f.reshape((k,) + shape),)

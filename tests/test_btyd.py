@@ -747,6 +747,19 @@ class TestCLVComposition:
         online = [discounted_clv(purchase, spend, [s], float(n_periods), 0.01)[0] for s in summaries]
         assert np.array_equal(online, batch)
 
+    @pytest.mark.parametrize("purchase", FAMILIES, ids=["pareto_nbd", "bg_nbd"])
+    def test_one_customer_scores_equal_batch(self, purchase):
+        # enough customers that the batch's 2F1 rows are summed one term per
+        # pass, while a one-customer call sums blocks of many terms
+        x, t_x, T, _ = summary_arrays(self._cohort(1200))
+        batch = p_alive(purchase, x, t_x, T), expected_transactions(purchase, x, t_x, T, 90.0)
+        for i in range(x.size):
+            online = (
+                p_alive(purchase, x[i], t_x[i], T[i]),
+                expected_transactions(purchase, x[i], t_x[i], T[i], 90.0),
+            )
+            assert online == (batch[0][i], batch[1][i])
+
     def _count_2f1_calls(self, monkeypatch, *args, **kwargs):
         calls = []
 

@@ -13,6 +13,7 @@ from f2pclv.data import (
     parse_transaction_log,
     read_summary_csv,
     rfm_summary,
+    write_csv,
     write_summary_csv,
 )
 
@@ -131,6 +132,23 @@ def test_predict_zero_discount_matches_composition(workspace, tmp_path):
         # the CLI calls the same vectorized code, so E[X] round-trips exactly
         assert float(row["expected_transactions"]) == expected[i]
         assert float(row["predicted_clv"]) == pytest.approx(expected[i] * value[i], abs=1e-9)
+
+
+def test_gamma_gamma_predict_equals_per_customer_calls(workspace, tmp_path):
+    pred_path = tmp_path / "gg_pred.csv"
+    assert main([
+        "predict", "--artifact", str(workspace / "gg.json"),
+        "--input", str(workspace / "summaries.csv"), "--out", str(pred_path),
+    ]) == 0
+    spend = art.model_from_artifact(art.load_artifact(workspace / "gg.json"))
+    summaries = read_summary_csv(workspace / "summaries.csv")
+    # byte for byte the CSV of one scalar call per customer
+    reference = tmp_path / "gg_reference.csv"
+    write_csv(reference, ["customer_id", "expected_value"], [
+        [s.customer_id, repr(float(btyd.conditional_expected_value(spend, s.frequency, s.monetary_value)))]
+        for s in summaries
+    ])
+    assert pred_path.read_bytes() == reference.read_bytes()
 
 
 def test_reference_horizon_and_rate_run(workspace, tmp_path):

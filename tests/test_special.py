@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 
 from f2pclv.errors import NumericalError
-from f2pclv.special import log_hyp2f1
+from f2pclv.special import _CHUNK_ROWS, MAX_TERMS, log_hyp2f1
 
 
 def hyp2f1(a, b, c, z, **kwargs):
@@ -94,6 +94,69 @@ def test_rows_converge_independently_of_each_other():
         ref = mpmath.hyp2f1(float(a[i]), float(b[i]), float(c[i]), float(z[i]))
         assert sign[i] == 1.0
         assert log_f[i] == pytest.approx(float(mpmath.log(ref)), rel=1e-8, abs=1e-12)
+
+
+def _assert_width_independent(a, b, c, z, max_terms=MAX_TERMS, with_tangents=False):
+    """Each row gives the same bits alone, among the given rows, and among
+    20,500 rows across the boundary of two chunks of a call: a pass adds
+    min(64, 1024 // rows) terms, so a row alone is summed 64 terms a pass
+    (or up to max_terms), among 40 rows 25 and among thousands one."""
+    rng = np.random.default_rng(11)
+    n = z.size
+    before, after = _CHUNK_ROWS - n // 2, 4096
+    n_fill = before + after
+    # filler rows that converge within a few terms, on both sides of the
+    # z = 0.9 switch, so that both series of the connection formula run
+    # with many rows too
+    fill = [rng.uniform(0.5, 3.0, n_fill), rng.uniform(0.5, 3.0, n_fill), rng.uniform(4.0, 6.0, n_fill),
+            np.where(np.arange(n_fill) % 2, rng.uniform(0.0, 0.2, n_fill), rng.uniform(0.9001, 0.95, n_fill))]
+    tangents = rng.normal(size=(4, 2, n + n_fill)) if with_tangents else None
+
+    def evaluate(rows, head=0, tail=0):
+        args = [np.concatenate([f[:head], v[rows], f[head : head + tail]]) for f, v in zip(fill, (a, b, c, z))]
+        kwargs = {}
+        if with_tangents:
+            columns = np.r_[n : n + head, rows, n + head : n + head + tail]
+            kwargs["tangents"] = tuple(t[:, columns] for t in tangents)
+        values = log_hyp2f1(*args, max_terms=max_terms, **kwargs)
+        return [np.atleast_1d(v)[..., head : head + rows.size] for v in values]
+
+    together = evaluate(np.arange(n))
+    among_many = evaluate(np.arange(n), before, after)
+    alone = [evaluate(np.arange(i, i + 1)) for i in range(n)]
+    for i, values in enumerate(alone):
+        for v, t, m in zip(values, together, among_many):
+            assert np.array_equal(v, t[..., i : i + 1]) and np.array_equal(v, m[..., i : i + 1])
+    return together
+
+
+@pytest.mark.parametrize("with_tangents", [False, True], ids=["value", "tangents"])
+def test_row_values_do_not_depend_on_block_width(with_tangents):
+    rng = np.random.default_rng(7)
+    a = np.concatenate([rng.uniform(0.5, 8.0, 28), rng.uniform(20.0, 60.0, 12)])
+    b = np.concatenate([rng.uniform(0.5, 8.0, 28), rng.uniform(700.0, 900.0, 12)])
+    c = np.concatenate([a[:28] + b[:28] + rng.uniform(0.15, 1.85, 28), a[28:] + 1.0])
+    z = np.concatenate([
+        rng.uniform(0.0, 0.9, 16),  # the direct series
+        rng.uniform(0.9001, 0.999, 12),  # the connection formula
+        rng.uniform(0.55, 0.7, 12),  # sums past 2**500, rescaled as they go
+    ])
+    log_f = _assert_width_independent(a, b, c, z, with_tangents=with_tangents)[1]
+    assert log_f[28:].min() > 500 * np.log(2.0)
+
+
+@pytest.mark.parametrize("with_tangents", [False, True], ids=["value", "tangents"])
+def test_row_converging_on_its_last_allowed_term_does_not_depend_on_block_width(with_tangents):
+    # 2F1(1.5, 2.5; 4.5; 0.53) converges at term 39: its last allowed term,
+    # checked though 39 is not a multiple of 4
+    with pytest.raises(NumericalError):
+        log_hyp2f1(1.5, 2.5, 4.5, 0.53, max_terms=38)
+    rng = np.random.default_rng(8)
+    a = np.r_[1.5, rng.uniform(0.5, 3.0, 39)]
+    b = np.r_[2.5, rng.uniform(0.5, 3.0, 39)]
+    c = np.r_[4.5, rng.uniform(4.0, 6.0, 39)]
+    z = np.r_[0.53, rng.uniform(0.0, 0.2, 39)]
+    _assert_width_independent(a, b, c, z, max_terms=39, with_tangents=with_tangents)
 
 
 def test_negative_z_with_large_parameters_matches_mpmath():
