@@ -37,6 +37,7 @@ from .data import (
     ActivityConfig,
     ColumnMapping,
     RFMCellCode,
+    RFMSummaries,
     RFMSummary,
     TransactionLog,
     activity_state,

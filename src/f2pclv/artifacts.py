@@ -166,10 +166,12 @@ def model_from_artifact(artifact: ModelArtifact):
     if kind == "forest":
         return _forest_from_blob(p)
     if kind == "three_stage":
+        # null without purchase counts; older artifacts hold a forest of
+        # constant 1 there instead, which scales predictions by exactly 1.0
+        count_forest = p["count_forest"] and _forest_from_blob(p["count_forest"])
         return ThreeStageModel(
             payer_classifier=_forest_from_blob(p["payer_classifier"]),
-            count_forest=_forest_from_blob(p["count_forest"]),
+            count_forest=count_forest,
             value_forest=_forest_from_blob(p["value_forest"]),
-            counts_supplied=p["counts_supplied"],
         )
     raise DataError(f"unknown model_kind {kind!r}")

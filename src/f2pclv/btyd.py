@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betaln, digamma, expit, gammaln
 
-from .data import RFMSummary, summary_arrays
+from .data import RFMSummaries, RFMSummary, summary_arrays
 from .errors import DataError, NumericalError
 from .fitting import DEFAULT_RESTARTS, StartRecord, minimize_multistart
 from .special import log_hyp2f1
@@ -81,8 +81,9 @@ def _as_arrays(*values):
 
 
 def _validate_summary(x, t_x, T):
-    if np.any(x < 0) or np.any(t_x < 0) or np.any(t_x > T):
-        raise DataError("summaries must satisfy 0 <= recency <= age, frequency >= 0")
+    # one pass; a comparison with NaN is false, so NaN fails it too
+    if not ((x >= 0) & (x < np.inf) & (t_x >= 0) & (t_x <= T) & (T < np.inf)).all():
+        raise DataError("summaries must satisfy 0 <= recency <= age and frequency >= 0, all finite")
 
 
 def _scalar_like(out, *inputs):
@@ -395,8 +396,8 @@ def _gamma_gamma_loglik_gradient(p, q, g, x, m, digamma_px, digamma_pxq):
 def gamma_gamma_loglik(params: GammaGammaParams, frequency, monetary_value):
     """Log-likelihood of the mean observed spend of a repeat customer."""
     x, m = _as_arrays(frequency, monetary_value)
-    if np.any(x < 1) or np.any(m <= 0):
-        raise DataError("gamma-gamma requires frequency >= 1 and monetary_value > 0")
+    if not ((x >= 1) & (x < np.inf) & (m > 0) & (m < np.inf)).all():
+        raise DataError("gamma-gamma requires finite frequency >= 1 and monetary_value > 0")
     p, q, g = params.p, params.q, params.gamma
     ll = _gamma_gamma_loglik_arrays(p, q, g, x, m, betaln(p * x, q))
     if not np.all(np.isfinite(ll)):
@@ -414,6 +415,8 @@ def conditional_expected_value(params: GammaGammaParams, frequency, monetary_val
     if q <= 1.0:
         raise NumericalError("population mean spend requires q > 1")
     x, m = _as_arrays(frequency, monetary_value)
+    if not (np.isfinite(x) & np.isfinite(m)).all():
+        raise DataError("conditional expected value requires finite frequency and monetary_value")
     population_mean = p * g / (q - 1.0)
     weight = p * x / (p * x + q - 1.0)
     out = (1.0 - weight) * population_mean + weight * m
@@ -469,7 +472,7 @@ def _fit(loglik_fn, n_customers, x0, penalizer, restarts, seed, builder):
 
 
 def fit_pareto_nbd(
-    summaries: Sequence[RFMSummary],
+    summaries: RFMSummaries | Sequence[RFMSummary],
     penalizer: float = 0.0,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
@@ -512,7 +515,7 @@ def fit_pareto_nbd(
 
 
 def fit_bg_nbd(
-    summaries: Sequence[RFMSummary],
+    summaries: RFMSummaries | Sequence[RFMSummary],
     penalizer: float = 0.0,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
@@ -548,7 +551,7 @@ def fit_bg_nbd(
 
 
 def fit_gamma_gamma(
-    summaries: Sequence[RFMSummary],
+    summaries: RFMSummaries | Sequence[RFMSummary],
     penalizer: float = 0.0,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
@@ -561,12 +564,11 @@ def fit_gamma_gamma(
     """
     if not summaries:
         raise DataError("no summaries to fit")
-    x = np.array([s.frequency for s in summaries], dtype=float)
-    m = np.array([s.monetary_value for s in summaries], dtype=float)
-    if np.any(x == 0):
-        raise DataError("gamma-gamma requires frequency > 0 for every row")
-    if np.any(m <= 0):
-        raise DataError("gamma-gamma requires positive monetary_value")
+    x, _, _, m = summary_arrays(summaries)
+    if not ((x > 0) & (x < np.inf)).all():
+        raise DataError("gamma-gamma requires finite frequency > 0 for every row")
+    if not ((m > 0) & (m < np.inf)).all():
+        raise DataError("gamma-gamma requires finite, positive monetary_value")
     if initial is not None:
         x0 = np.array([initial.p, initial.q, initial.gamma])
     else:
@@ -593,7 +595,7 @@ def fit_gamma_gamma(
 def discounted_clv(
     purchase_params: ParetoNBDParams | BGNBDParams,
     spend_params: GammaGammaParams,
-    summaries: Sequence[RFMSummary],
+    summaries: RFMSummaries | Sequence[RFMSummary],
     horizon: float,
     discount_rate: float,
     period: float = 1.0,

@@ -225,7 +225,7 @@ def cmd_fit(args):
     if args.model in ("pareto_nbd", "bg_nbd", "gamma_gamma"):
         summaries = read_summary_csv(args.input)
         if args.model == "gamma_gamma" and args.payers_only:
-            summaries = [s for s in summaries if s.frequency > 0 and s.monetary_value > 0]
+            summaries = summaries[(summaries.frequency > 0) & (summaries.monetary_value > 0)]
         fit_fn = {
             "pareto_nbd": btyd.fit_pareto_nbd,
             "bg_nbd": btyd.fit_bg_nbd,
@@ -329,14 +329,12 @@ def cmd_predict(args):
             )
             header = ["customer_id", "predicted_clv", "expected_transactions", "p_alive"]
             columns = [clv, expected, alive]
-        rows = ([s.customer_id, *(_fmt(c[i]) for c in columns)] for i, s in enumerate(summaries))
-        write_csv(args.out, header, rows)
+        write_csv(args.out, header, zip(summaries.ids, *(map(_fmt, c) for c in columns)))
     elif kind == "gamma_gamma":
         summaries = read_summary_csv(args.input)
         x, _, _, m = summary_arrays(summaries)
         values = np.atleast_1d(btyd.conditional_expected_value(model, x, m))
-        rows = ([s.customer_id, _fmt(v)] for s, v in zip(summaries, values))
-        write_csv(args.out, ["customer_id", "expected_value"], rows)
+        write_csv(args.out, ["customer_id", "expected_value"], zip(summaries.ids, map(_fmt, values)))
     elif kind == "basic":
         value = cohort.basic_clv(model)
         write_csv(args.out, ["clv"], [[_fmt(value)]])
@@ -423,10 +421,7 @@ def cmd_segment(args):
     write_csv(
         out_dir / "quintiles.csv",
         ["customer_id", "r_quintile", "f_quintile", "m_quintile"],
-        [
-            [s.customer_id, codes[s.customer_id].r_quintile, codes[s.customer_id].f_quintile, codes[s.customer_id].m_quintile]
-            for s in summaries
-        ],
+        [[cid, codes[cid].r_quintile, codes[cid].f_quintile, codes[cid].m_quintile] for cid in summaries.ids],
     )
     weights = tuple(float(w) for w in args.weights.split(","))
     ranked = weighted_rfm_rank(summaries, weights)
@@ -456,9 +451,8 @@ def cmd_segment(args):
         rows = []
         for seg in range(5, 0, -1):
             mask = segments == seg
-            ids = [summaries[i].customer_id for i in np.flatnonzero(mask)]
             mean_clv = float(np.mean(clv[mask])) if mask.any() else 0.0
-            mean_real = float(np.mean([realized.get(cid, 0.0) for cid in ids])) if ids else 0.0
+            mean_real = float(np.mean([realized.get(cid, 0.0) for cid in summaries.ids[mask]])) if mask.any() else 0.0
             rows.append([seg, int(mask.sum()), _fmt(mean_clv), _fmt(mean_real)])
         write_csv(
             out_dir / "segments.csv",

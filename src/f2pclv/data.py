@@ -3,7 +3,11 @@
 A `TransactionLog` holds its purchases and its gameplay events as `Rows`
 columns from parse or the simulator to every consumer and writer. Rows
 exist only where a log is built from a sequence of them and where it is
-iterated.
+iterated. RFM summaries are columns in the same way: `RFMSummaries` goes
+from `rfm_summary`, the simulator's ground truth and the summaries CSV to
+every BTYD entry point, an `RFMSummary` row is built only where one is
+indexed or iterated, and `summary_arrays` turns a sequence of rows passed
+in into columns once.
 
 Every tabular file the toolkit reads goes through `read_columns` and every
 one it writes through `write_csv`: logs, summaries, curves, features and
@@ -117,6 +121,66 @@ class RFMSummary:
     recency: float
     age: float
     monetary_value: float
+
+
+class RFMSummaries:
+    """RFM summaries in columns: `ids`, an object array, and the float
+    columns `frequency`, `recency`, `age` and `monetary_value`, each copied
+    at construction and read-only. An integer index gives an `RFMSummary`;
+    a slice, mask or index array gives `RFMSummaries`. Iterating yields
+    `RFMSummary` rows, and `==` compares with any sequence of them."""
+
+    def __init__(self, ids, frequency, recency, age, monetary_value):
+        self.ids = np.array(ids, dtype=object)
+        self.frequency, self.recency, self.age, self.monetary_value = (
+            np.array(c, dtype=float) for c in (frequency, recency, age, monetary_value)
+        )
+        for column in self._columns():
+            column.flags.writeable = False
+
+    def _columns(self):
+        return self.ids, self.frequency, self.recency, self.age, self.monetary_value
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            cid, x, t_x, T, m = (c[index] for c in self._columns())
+            return RFMSummary(cid, int(x), float(t_x), float(T), float(m))
+        return RFMSummaries(*(c[index] for c in self._columns()))
+
+    def __iter__(self):
+        ids, x, t_x, T, m = (c.tolist() for c in self._columns())
+        return map(RFMSummary, ids, map(int, x), t_x, T, m)
+
+    def __add__(self, other) -> "RFMSummaries":
+        pairs = zip(self._columns(), _summaries_of(other)._columns())
+        return RFMSummaries(*(np.concatenate(pair) for pair in pairs))
+
+    def __eq__(self, other) -> bool:
+        try:
+            other = _summaries_of(other)
+        except (AttributeError, TypeError):
+            return NotImplemented
+        return len(self) == len(other) and all(map(np.array_equal, self._columns(), other._columns()))
+
+
+def _summaries_of(summaries: RFMSummaries | Iterable[RFMSummary]) -> RFMSummaries:
+    """`summaries` itself if it is `RFMSummaries`, else the columns of a
+    sequence of `RFMSummary` rows, in its order."""
+    if isinstance(summaries, RFMSummaries):
+        return summaries
+    rows = list(summaries)
+    # a list per column, not a tuple per row: tuples are garbage the cyclic
+    # collector tracks, and enough of them start a full collection
+    return RFMSummaries(
+        [s.customer_id for s in rows],
+        [s.frequency for s in rows],
+        [s.recency for s in rows],
+        [s.age for s in rows],
+        [s.monetary_value for s in rows],
+    )
 
 
 @dataclass(frozen=True)
@@ -304,7 +368,7 @@ def _rfm_from_segments(first, counts, times, values):
     return recency, monetary
 
 
-def rfm_summary(log: TransactionLog, observation_end: float) -> list[RFMSummary]:
+def rfm_summary(log: TransactionLog, observation_end: float) -> RFMSummaries:
     """One summary per purchasing customer, sorted by customer id.
 
     frequency = number of repeat purchases, recency = days from first to
@@ -326,39 +390,34 @@ def rfm_summary(log: TransactionLog, observation_end: float) -> list[RFMSummary]
     repeats = order[repeat]
     frequency = counts - 1
     recency, monetary = _rfm_from_segments(first, frequency, times[repeats], log.records.payload[repeats])
-    age = observation_end - first
-    return [
-        RFMSummary(*row)
-        for row in zip(ids, frequency.tolist(), recency.tolist(), age.tolist(), monetary.tolist())
-    ]
+    return RFMSummaries(ids, frequency, recency, observation_end - first, monetary)
 
 
-def summary_arrays(summaries: Sequence[RFMSummary]):
-    """(frequency, recency, age, monetary_value) as float arrays."""
-    x = np.array([s.frequency for s in summaries], dtype=float)
-    t_x = np.array([s.recency for s in summaries], dtype=float)
-    T = np.array([s.age for s in summaries], dtype=float)
-    m = np.array([s.monetary_value for s in summaries], dtype=float)
-    return x, t_x, T, m
+def summary_arrays(summaries: RFMSummaries | Iterable[RFMSummary]):
+    """(frequency, recency, age, monetary_value) as float arrays: the
+    read-only columns of `RFMSummaries` themselves, or those of a sequence
+    of `RFMSummary` rows, built once."""
+    s = _summaries_of(summaries)
+    return s.frequency, s.recency, s.age, s.monetary_value
 
 
 SUMMARY_COLUMNS = ("customer_id", "frequency", "recency", "T", "monetary_value")
 
 
-def write_summary_csv(summaries: Sequence[RFMSummary], path) -> None:
-    rows = ([s.customer_id, s.frequency, repr(s.recency), repr(s.age), repr(s.monetary_value)] for s in summaries)
-    write_csv(path, SUMMARY_COLUMNS, rows)
+def write_summary_csv(summaries: RFMSummaries | Iterable[RFMSummary], path) -> None:
+    # tolist: the repr of a Python float, not of np.float64
+    ids, x, t_x, T, m = (c.tolist() for c in _summaries_of(summaries)._columns())
+    write_csv(path, SUMMARY_COLUMNS, zip(ids, map(int, x), map(repr, t_x), map(repr, T), map(repr, m)))
 
 
-def read_summary_csv(path) -> list[RFMSummary]:
+def read_summary_csv(path) -> RFMSummaries:
     with open(path, newline="") as fh:
-        try:
-            return [
-                RFMSummary(cid, int(x), float(t_x), float(age), float(m))
-                for cid, x, t_x, age, m in read_columns(fh, SUMMARY_COLUMNS)
-            ]
-        except (TypeError, ValueError) as e:
-            raise DataError(f"malformed cell in {path}: {e}") from None
+        ids, x, t_x, age, m = tuple(zip(*read_columns(fh, SUMMARY_COLUMNS))) or ((),) * 5
+    try:
+        # int: a frequency cell must be a whole number
+        return RFMSummaries(ids, list(map(int, x)), *(list(map(float, c)) for c in (t_x, age, m)))
+    except (TypeError, ValueError) as e:
+        raise DataError(f"malformed cell in {path}: {e}") from None
 
 
 def split_calibration_holdout(log: TransactionLog, cutoff: float) -> tuple[TransactionLog, TransactionLog]:
@@ -392,12 +451,12 @@ def _quintile(values: np.ndarray) -> np.ndarray:
     return 1 + (values[:, None] > edges[None, :]).sum(axis=1)
 
 
-def rfm_quintile_scores(summaries: Sequence[RFMSummary]) -> dict[str, RFMCellCode]:
+def rfm_quintile_scores(summaries: RFMSummaries | Iterable[RFMSummary]) -> dict[str, RFMCellCode]:
     """Quintile cell codes; recency is scored as days since last purchase,
     inverted so that more recent activity earns a higher quintile."""
+    summaries = _summaries_of(summaries)
     if len(summaries) < 5:
         raise DataError("quintile scoring needs at least 5 customers")
-    ids = [s.customer_id for s in summaries]
     freq, recency, age, money = summary_arrays(summaries)
     days_since_last = age - recency
     r_scores = 6 - _quintile(days_since_last)
@@ -405,7 +464,7 @@ def rfm_quintile_scores(summaries: Sequence[RFMSummary]) -> dict[str, RFMCellCod
     m_scores = _quintile(money)
     return {
         cid: RFMCellCode(int(r), int(f), int(m))
-        for cid, r, f, m in zip(ids, r_scores, f_scores, m_scores)
+        for cid, r, f, m in zip(summaries.ids, r_scores, f_scores, m_scores)
     }
 
 
@@ -418,7 +477,7 @@ def _minmax(values: np.ndarray) -> np.ndarray:
 
 
 def weighted_rfm_rank(
-    summaries: Sequence[RFMSummary], weights: tuple[float, float, float]
+    summaries: RFMSummaries | Iterable[RFMSummary], weights: tuple[float, float, float]
 ) -> list[tuple[str, float]]:
     """Customers ranked by a weighted sum of min-max normalized R, F, M.
 
@@ -429,13 +488,14 @@ def weighted_rfm_rank(
     w_r, w_f, w_m = weights
     if min(weights) < 0 or abs(w_r + w_f + w_m - 1.0) > 1e-9:
         raise DataError("weights must be non-negative and sum to 1")
+    summaries = _summaries_of(summaries)
     if not summaries:
         raise DataError("no customers to rank")
     freq, recency, age, money = summary_arrays(summaries)
     days_since_last = age - recency
     r_norm = 1.0 - _minmax(days_since_last) if days_since_last.max() > days_since_last.min() else np.zeros_like(days_since_last)
     score = w_r * r_norm + w_f * _minmax(freq) + w_m * _minmax(money)
-    order = sorted(zip([s.customer_id for s in summaries], score), key=lambda p: (-p[1], p[0]))
+    order = sorted(zip(summaries.ids, score), key=lambda p: (-p[1], p[0]))
     return [(cid, float(s)) for cid, s in order]
 
 
@@ -473,12 +533,9 @@ def cumulative_revenue_fractions(log: TransactionLog, n_days: int) -> list[tuple
     return [(day, float(cum[day])) for day in range(n_days)]
 
 
-def summaries_from_arrays(frequency, recency, age, monetary_value, ids=None) -> list[RFMSummary]:
-    """Build summaries from parallel arrays (testing and simulator glue)."""
-    n = len(frequency)
+def summaries_from_arrays(frequency, recency, age, monetary_value, ids=None) -> RFMSummaries:
+    """Build summaries from parallel arrays (testing and simulator glue);
+    frequencies are truncated to whole numbers."""
     if ids is None:
-        ids = [f"c{i:07d}" for i in range(n)]
-    return [
-        RFMSummary(ids[i], int(frequency[i]), float(recency[i]), float(age[i]), float(monetary_value[i]))
-        for i in range(n)
-    ]
+        ids = [f"c{i:07d}" for i in range(len(frequency))]
+    return RFMSummaries(ids, np.trunc(frequency), recency, age, monetary_value)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btyd import BGNBDParams, GammaGammaParams, ParetoNBDParams
-from .data import GameEvent, RFMSummary, Rows, Transaction, TransactionLog, _rfm_from_segments
+from .data import GameEvent, RFMSummaries, Rows, Transaction, TransactionLog, _rfm_from_segments
 from .errors import DataError
 from .markov import RewardVector, TransitionMatrix
 
@@ -67,19 +67,11 @@ class GroundTruth:
     age: np.ndarray
     monetary_value: np.ndarray
 
-    def summaries(self) -> list[RFMSummary]:
+    def summaries(self) -> RFMSummaries:
         """RFM rows for the converted customers (the ones with purchases)."""
-        return [
-            RFMSummary(
-                self.customer_ids[i],
-                int(self.frequency[i]),
-                float(self.recency[i]),
-                float(self.age[i]),
-                float(self.monetary_value[i]),
-            )
-            for i in range(len(self.customer_ids))
-            if self.converted[i]
-        ]
+        ids = np.array(self.customer_ids, dtype=object)
+        columns = (ids, self.frequency, self.recency, self.age, self.monetary_value)
+        return RFMSummaries(*(c[self.converted] for c in columns))
 
 
 def _customer_ids(n):

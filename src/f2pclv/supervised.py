@@ -293,12 +293,12 @@ class ForestRegressor:
 
 @dataclass
 class ThreeStageModel:
-    """Buy-at-all classifier x purchase-count x purchase-value forests."""
+    """Buy-at-all classifier x purchase-count x purchase-value forests; no
+    count forest when it was fitted without purchase counts."""
 
     payer_classifier: FittedForest
-    count_forest: FittedForest
+    count_forest: FittedForest | None
     value_forest: FittedForest
-    counts_supplied: bool
 
 
 def fit_three_stage(
@@ -310,8 +310,8 @@ def fit_three_stage(
     """Decompose revenue prediction into payer probability, purchase count,
     and per-purchase value, each modeled by a forest.
 
-    Without observed future purchase counts the count stage trains on a
-    constant 1 and the value stage absorbs the full payer revenue.
+    Without observed future purchase counts there is no count stage, and
+    the value stage absorbs the full payer revenue.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -319,26 +319,23 @@ def fit_three_stage(
     payers = y > 0
     if not payers.any():
         raise DataError("no payers in the training data")
-    if purchase_counts is None:
-        counts = np.ones(int(payers.sum()))
-        supplied = False
-    else:
+    counts, count_forest = 1.0, None
+    if purchase_counts is not None:
         counts = np.asarray(purchase_counts, dtype=float)[payers]
         if np.any(counts < 1):
             raise DataError("payers must have purchase_counts >= 1")
-        supplied = True
+        count_forest = fit_random_forest(x[payers], counts, config)
     classifier = fit_random_forest(x, payers.astype(float), config, classifier=True)
-    count_forest = fit_random_forest(x[payers], counts, config)
     value_forest = fit_random_forest(x[payers], y[payers] / counts, config)
-    return ThreeStageModel(classifier, count_forest, value_forest, supplied)
+    return ThreeStageModel(classifier, count_forest, value_forest)
 
 
 def predict_three_stage(model: ThreeStageModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    p_payer = forest_predict(model.payer_classifier, x)
-    count = forest_predict(model.count_forest, x)
-    value = forest_predict(model.value_forest, x)
-    return p_payer * count * value
+    revenue = forest_predict(model.payer_classifier, x)
+    if model.count_forest is not None:
+        revenue = revenue * forest_predict(model.count_forest, x)
+    return revenue * forest_predict(model.value_forest, x)
 
 
 class ThreeStageRegressor:

@@ -515,6 +515,49 @@ class TestGammaGamma:
             fit_gamma_gamma(summaries)
 
 
+class TestNonFiniteSummaries:
+    """NaN and infinite summaries are data errors at every entry point."""
+
+    PURCHASE = [ParetoNBDParams(0.5, 10.0, 0.6, 12.0), BGNBDParams(0.4, 8.0, 0.8, 2.5)]
+    SPEND = GammaGammaParams(6.0, 4.0, 15.0)
+    NAN, INF = float("nan"), float("inf")
+    BAD_ROWS = [
+        (NAN, 1.0, 10.0), (2.0, NAN, 10.0), (2.0, 1.0, NAN),
+        (INF, 1.0, 10.0), (2.0, 1.0, INF), (2.0, INF, INF), (2.0, 1.0, -INF),
+    ]
+
+    @pytest.mark.parametrize("params", PURCHASE, ids=["pareto_nbd", "bg_nbd"])
+    @pytest.mark.parametrize("row", BAD_ROWS)
+    def test_purchase_entry_points(self, params, row):
+        x, t_x, T = row
+        loglik = pareto_nbd_loglik if isinstance(params, ParetoNBDParams) else bg_nbd_loglik
+        fit = fit_pareto_nbd if isinstance(params, ParetoNBDParams) else fit_bg_nbd
+        cohort = summaries_from_arrays([x, 3, 0], [t_x, 5.0, 0.0], [T, 20.0, 20.0], [4.0, 6.0, 0.0])
+        calls = [
+            lambda: loglik(params, x, t_x, T),
+            lambda: p_alive(params, x, t_x, T),
+            lambda: expected_transactions(params, x, t_x, T, 30.0),
+            lambda: expected_transactions(params, [1.0, x], [1.0, t_x], [5.0, T], 30.0),
+            lambda: discounted_clv(params, self.SPEND, cohort, 84.0, 0.01, period=7.0),
+            lambda: fit(cohort),
+        ]
+        for call in calls:
+            with pytest.raises(DataError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("x, m", [(NAN, 5.0), (INF, 5.0), (3.0, NAN), (3.0, INF)])
+    def test_spend_entry_points(self, x, m):
+        cohort = summaries_from_arrays([x, 3], [1.0, 1.0], [2.0, 2.0], [m, 6.0])
+        for call in (
+            lambda: gamma_gamma_loglik(self.SPEND, x, m),
+            lambda: conditional_expected_value(self.SPEND, x, m),
+            lambda: conditional_expected_value(self.SPEND, [0.0, x], [0.0, m]),
+            lambda: fit_gamma_gamma(cohort),
+        ):
+            with pytest.raises(DataError, match="finite"):
+                call()
+
+
 class TestFitting:
     def test_pareto_recovery_single_seed(self):
         config = SimConfig(

@@ -289,6 +289,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("row", ["c2,3,nan,40.0,5.0", "c2,3,10.0,inf,5.0"], ids=["nan_recency", "inf_age"])
+def test_non_finite_summary_is_data_error(workspace, tmp_path, capsys, row):
+    summaries = tmp_path / "summaries.csv"
+    summaries.write_text(f"customer_id,frequency,recency,T,monetary_value\nc1,2,5.0,30.0,4.0\n{row}\n")
+    code = main([
+        "predict", "--artifact", str(workspace / "bg.json"), "--input", str(summaries),
+        "--horizon", "30", "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 _FEATURE_HEADER = "player_id,number_of_sessions,number_of_days,number_of_purchases,total_purchase_amount,future_revenue\n"
 
 

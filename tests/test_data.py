@@ -1,5 +1,6 @@
 """Ingestion, RFM summaries, splits, activity, and segmentation."""
 
+import csv
 import io
 import random
 
@@ -11,6 +12,7 @@ from f2pclv.data import (
     ActivityConfig,
     ColumnMapping,
     GameEvent,
+    RFMSummaries,
     RFMSummary,
     Transaction,
     TransactionLog,
@@ -19,11 +21,15 @@ from f2pclv.data import (
     daily_active_fractions,
     parse_event_log,
     parse_transaction_log,
+    read_summary_csv,
     rfm_quintile_scores,
     rfm_summary,
     split_calibration_holdout,
+    summaries_from_arrays,
+    summary_arrays,
     weighted_rfm_rank,
     write_event_csv,
+    write_summary_csv,
     write_transaction_csv,
 )
 from f2pclv.errors import DataError
@@ -179,6 +185,91 @@ class TestRFMSummary:
         log, truth = simulate_pareto_nbd_cohort(config)
         summaries = rfm_summary(log, config.observation_end)
         assert summaries == truth.summaries()
+
+
+class TestRFMSummaries:
+    ROWS = [
+        RFMSummary("a", 2, 5.0, 9.0, 3.5),
+        RFMSummary("b", 0, 0.0, 4.0, 0.0),
+        RFMSummary("c", 7, 20.0, 30.0, 1.25),
+    ]
+
+    def _columns(self):
+        return summaries_from_arrays(
+            [2, 0, 7], [5.0, 0.0, 20.0], [9.0, 4.0, 30.0], [3.5, 0.0, 1.25], ids=["a", "b", "c"]
+        )
+
+    def test_integer_index_gives_a_row_with_an_int_frequency(self):
+        summaries = self._columns()
+        for index in (np.int64(2), 2, -1):
+            s = summaries[index]
+            assert type(s) is RFMSummary and type(s.frequency) is int
+            assert s == self.ROWS[2]
+
+    def test_mask_slice_and_sum_give_the_rows_of_lists(self):
+        summaries, rows = self._columns(), self.ROWS
+        payers = summaries[summaries.frequency > 0]
+        assert isinstance(payers, RFMSummaries)
+        assert list(payers) == [s for s in rows if s.frequency > 0]
+        assert list(summaries[1:]) == rows[1:]
+        assert list(summaries[np.array([2, 0])]) == [rows[2], rows[0]]
+        assert list(summaries + summaries[1:]) == rows + rows[1:]
+
+    def test_equality_with_lists(self):
+        summaries, rows = self._columns(), self.ROWS
+        assert summaries == rows and rows == summaries
+        assert summaries[:0] == [] and [] == summaries[:0]
+        assert summaries != rows[:2] and summaries != rows[::-1] and summaries != []
+        assert summaries != None  # noqa: E711
+
+    def test_columns_are_read_only(self):
+        s = self._columns()
+        for column in (s.ids, s.frequency, s.recency, s.age, s.monetary_value):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_construction_copies_the_callers_arrays(self):
+        ids, x, t_x = np.array(["a"], dtype=object), np.array([2.0]), np.array([5.0])
+        summaries = RFMSummaries(ids, x, t_x, [9.0], [3.5])
+        ids[0], x[0], t_x[0] = "z", 4.0, 6.0
+        assert summaries == [RFMSummary("a", 2, 5.0, 9.0, 3.5)]
+        assert x.flags.writeable
+
+    def test_summary_arrays_returns_the_columns_themselves(self):
+        s = self._columns()
+        x, t_x, T, m = summary_arrays(s)
+        assert x is s.frequency and t_x is s.recency and T is s.age and m is s.monetary_value
+        for built, own in zip(summary_arrays(self.ROWS), (x, t_x, T, m)):
+            assert built.dtype == float and np.array_equal(built, own)
+
+    def test_summaries_from_arrays_truncates_the_frequency(self):
+        (s,) = summaries_from_arrays([2.7], [1.0], [3.0], [4.0])
+        assert s.frequency == 2
+
+    @pytest.mark.parametrize("cell", ["2.5", "nan"])
+    def test_read_rejects_a_frequency_that_is_not_a_whole_number(self, tmp_path, cell):
+        path = tmp_path / "summaries.csv"
+        path.write_text(f"customer_id,frequency,recency,T,monetary_value\nc1,3,2.0,10.0,3.0\nc2,{cell},2.0,10.0,3.0\n")
+        with pytest.raises(DataError, match="malformed cell"):
+            read_summary_csv(path)
+
+    def test_csv_round_trip_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 50
+        ids = [f"c{i}" for i in range(n - 3)] + ["comma,id", 'quote"id', "line\nbreak"]
+        age = rng.uniform(1.0, 300.0, n)
+        summaries = summaries_from_arrays(
+            rng.integers(0, 40, n), age * rng.random(n), age, rng.gamma(2.0, 7.0, n), ids=ids
+        )
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_summary_csv(summaries, first)
+        back = read_summary_csv(first)
+        assert back == summaries
+        write_summary_csv(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        with open(first, newline="") as fh:
+            cells = [row[1] for row in csv.reader(fh)][1:]
+        assert cells == [str(int(x)) for x in summaries.frequency]
 
 
 class TestSplit:

@@ -1,10 +1,13 @@
 """Feature extraction, regression SMOTE-NC, three-stage composite, k-fold."""
 
 import csv
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from f2pclv import artifacts as art
 from f2pclv.btyd import GammaGammaParams, ParetoNBDParams
 from f2pclv.data import GameEvent, Transaction, TransactionLog
 from f2pclv.errors import DataError
@@ -314,6 +317,45 @@ class TestThreeStage:
         model = fit_three_stage(x, y, config=ForestConfig(n_trees=15, seed=7))
         far = np.tile([0.05, 0.5], (10, 1))  # deep in non-payer territory
         assert np.all(predict_three_stage(model, far) == 0.0)
+
+
+    def test_without_counts_there_is_no_count_stage(self):
+        dataset = self._sim_dataset(n=400)
+        x, y = dataset.features.values, dataset.targets
+        config = ForestConfig(n_trees=8, max_depth=6, min_samples_leaf=5, seed=9)
+        model = fit_three_stage(x, y, config=config)
+        assert model.count_forest is None
+        payers = y > 0
+        value = fit_random_forest(x[payers], y[payers], config)
+        expected = forest_predict(fit_random_forest(x, payers.astype(float), config, classifier=True), x)
+        assert np.array_equal(predict_three_stage(model, x), expected * forest_predict(value, x))
+
+    def test_artifact_with_a_constant_count_forest_reloads_bit_identical(self, tmp_path):
+        dataset = self._sim_dataset(n=400)
+        x, y = dataset.features.values, dataset.targets
+        config = ForestConfig(n_trees=8, max_depth=6, min_samples_leaf=5, seed=9)
+        model = fit_three_stage(x, y, config=config)
+        # the parameters as written when a fit without counts still fitted
+        # the count stage to a constant 1
+        payers = y > 0
+        constant = fit_random_forest(x[payers], np.ones(int(payers.sum())), config)
+        assert np.all(forest_predict(constant, x) == 1.0)
+        parameters = {
+            "payer_classifier": asdict(model.payer_classifier),
+            "count_forest": asdict(constant),
+            "value_forest": asdict(model.value_forest),
+            "counts_supplied": False,
+        }
+        art.save_artifact(art.ModelArtifact("three_stage", parameters), tmp_path / "old.json")
+        old = art.model_from_artifact(art.load_artifact(tmp_path / "old.json"))
+        assert np.array_equal(predict_three_stage(old, x), predict_three_stage(model, x))
+        art.save_artifact(
+            art.ModelArtifact("three_stage", art.model_to_parameters("three_stage", model)), tmp_path / "new.json"
+        )
+        assert json.loads((tmp_path / "new.json").read_text())["parameters"]["count_forest"] is None
+        new = art.model_from_artifact(art.load_artifact(tmp_path / "new.json"))
+        assert new.count_forest is None
+        assert np.array_equal(predict_three_stage(new, x), predict_three_stage(model, x))
 
 
 class TestResamplingDirection:
