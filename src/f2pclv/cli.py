@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .data import (
     daily_active_fractions,
     parse_event_log,
     parse_transaction_log,
-    read_columns,
+    read_csv,
     read_summary_csv,
     rfm_quintile_scores,
     rfm_summary,
@@ -49,21 +49,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_kv(text: str) -> dict[str, float]:
-    out = {}
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        key, _, value = part.partition("=")
-        if not _:
-            raise DataError(f"expected key=value, got {part!r}")
-        out[key.strip()] = float(value)
-    return out
+def _require(args, flag: str) -> None:
+    """Stop with a usage error if `flag` was not given."""
+    if getattr(args, flag[2:].replace("-", "_")) is None:
+        args.parser.error(f"the following arguments are required: {flag}")
+
+
+def _number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"{flag}: expected a number, got {text!r}") from None
+
+
+def _parse_params(cls, text: str, flag: str):
+    """An instance of the dataclass `cls` from a flag's comma-separated
+    key=value list, whose keys must be its fields."""
+    pairs = [part.partition("=") for part in text.split(",") if part.strip()]
+    names = [f.name for f in fields(cls)]
+    if not all(eq for _, eq, _ in pairs) or sorted(k.strip() for k, _, _ in pairs) != sorted(names):
+        raise DataError(f"{flag}: expected key=value for each of {', '.join(names)}, got {text!r}")
+    return cls(**{k.strip(): _number(v, flag) for k, _, v in pairs})
 
 
 def _load_log(transactions, events=None, iso_dates=False) -> TransactionLog:
-    if not transactions:
-        raise DataError("a transaction log is required")
     mapping = ColumnMapping(iso_dates=iso_dates)
     with open(transactions, newline="") as fh:
         log = parse_transaction_log(fh, mapping).log
@@ -71,10 +80,6 @@ def _load_log(transactions, events=None, iso_dates=False) -> TransactionLog:
         with open(events, newline="") as fh:
             log.events = parse_event_log(fh, mapping).log.events
     return log
-
-
-def _fmt(v):
-    return repr(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +97,16 @@ def cmd_ingest(args):
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.transactions:
-        with open(args.transactions, newline="") as fh:
-            result = parse_transaction_log(fh, mapping)
-        write_transaction_csv(result.log, out_dir / "transactions.csv")
-        print(
-            f"transactions: {len(result.log.records)} kept, "
-            f"{result.rejected_rows} rejected of {result.total_rows}"
-        )
-    if args.events:
-        with open(args.events, newline="") as fh:
-            result = parse_event_log(fh, mapping)
-        write_event_csv(result.log, out_dir / "events.csv")
-        print(
-            f"events: {len(result.log.events)} kept, "
-            f"{result.rejected_rows} rejected of {result.total_rows}"
-        )
+    for name, source, parse, write in (
+        ("transactions", args.transactions, parse_transaction_log, write_transaction_csv),
+        ("events", args.events, parse_event_log, write_event_csv),
+    ):
+        if source:
+            with open(source, newline="") as fh:
+                result = parse(fh, mapping)
+            write(result.log, out_dir / f"{name}.csv")
+            kept = result.total_rows - result.rejected_rows
+            print(f"{name}: {kept} kept, {result.rejected_rows} rejected of {result.total_rows}")
     return 0
 
 
@@ -128,14 +127,11 @@ def cmd_summarize(args):
             f"wrote {len(dataset.features.player_ids)} feature rows to {args.out}; "
             f"{dataset.n_excluded} players excluded"
         )
-    elif args.kind == "retention":
-        points = daily_active_fractions(log, args.days)
-        write_csv(args.out, ["day", "fraction"], [(d, _fmt(f)) for d, f in points])
-        print(f"wrote {len(points)} retention points to {args.out}")
-    elif args.kind == "monetization":
-        points = cumulative_revenue_fractions(log, args.days)
-        write_csv(args.out, ["day", "fraction"], [(d, _fmt(f)) for d, f in points])
-        print(f"wrote {len(points)} monetization points to {args.out}")
+    else:
+        curve = daily_active_fractions if args.kind == "retention" else cumulative_revenue_fractions
+        points = curve(log, args.days)
+        write_csv(args.out, ["day", "fraction"], [[d for d, _ in points], [f for _, f in points]])
+        print(f"wrote {len(points)} {args.kind} points to {args.out}")
     return 0
 
 
@@ -156,15 +152,16 @@ def cmd_split(args):
     return 0
 
 
+_SIMULATORS = {
+    "pareto_nbd": (btyd.ParetoNBDParams, simulate_pareto_nbd_cohort),
+    "bg_nbd": (btyd.BGNBDParams, simulate_bg_nbd_cohort),
+}
+
+
 def cmd_simulate(args):
-    params = _parse_kv(args.params)
-    if args.model == "pareto_nbd":
-        purchase = btyd.ParetoNBDParams(**params)
-    elif args.model == "bg_nbd":
-        purchase = btyd.BGNBDParams(**params)
-    else:
-        raise DataError(f"cannot simulate model {args.model!r}")
-    spend = btyd.GammaGammaParams(**_parse_kv(args.spend)) if args.spend else None
+    params_class, simulator = _SIMULATORS[args.model]
+    purchase = _parse_params(params_class, args.params, "--params")
+    spend = _parse_params(btyd.GammaGammaParams, args.spend, "--spend") if args.spend else None
     config = SimConfig(
         n_customers=args.n_customers,
         observation_days=args.days,
@@ -176,11 +173,7 @@ def cmd_simulate(args):
         conversion_rate=args.conversion_rate,
         seed=args.seed,
     )
-    log, truth = (
-        simulate_pareto_nbd_cohort(config)
-        if args.model == "pareto_nbd"
-        else simulate_bg_nbd_cohort(config)
-    )
+    log, truth = simulator(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_transaction_csv(log, out_dir / "transactions.csv")
@@ -220,6 +213,8 @@ def _forest_config(args) -> ForestConfig:
 
 
 def cmd_fit(args):
+    if args.model != "basic":
+        _require(args, "--input")
     out = Path(args.out)
     metadata = art.build_metadata(seed=args.seed, data_path=args.input if args.input else None)
     if args.model in ("pareto_nbd", "bg_nbd", "gamma_gamma"):
@@ -295,8 +290,6 @@ def cmd_fit(args):
             pred = supervised.predict_three_stage(model, x)
             print(f"three_stage: train mse={np.mean((pred - y) ** 2):.6f}")
         params = art.model_to_parameters(args.model, model)
-    else:
-        raise DataError(f"unknown model kind {args.model!r}")
     artifact = art.ModelArtifact(model_kind=args.model, parameters=params, metadata=metadata)
     art.save_artifact(artifact, out)
     print(f"saved {args.model} artifact to {out}")
@@ -304,71 +297,52 @@ def cmd_fit(args):
 
 
 def _read_curve_csv(path):
-    with open(path, newline="") as fh:
-        try:
-            return [(float(day), float(fraction)) for day, fraction in read_columns(fh, ("day", "fraction"))]
-        except (TypeError, ValueError) as e:
-            raise DataError(f"malformed cell in {path}: {e}") from None
+    return list(zip(*read_csv(path, ("day", "fraction"), (float, float))))
 
 
 def cmd_predict(args):
     artifact = art.load_artifact(args.artifact)
     model = art.model_from_artifact(artifact)
     kind = artifact.model_kind
+    if kind not in ("basic", "retention", "markov"):
+        _require(args, "--input")
     if kind in ("pareto_nbd", "bg_nbd"):
         summaries = read_summary_csv(args.input)
         x, t_x, T, _ = summary_arrays(summaries)
         expected = np.atleast_1d(btyd.expected_transactions(model, x, t_x, T, args.horizon))
         alive = np.atleast_1d(btyd.p_alive(model, x, t_x, T))
-        header = ["customer_id", "expected_transactions", "p_alive"]
-        columns = [expected, alive]
+        columns = {"expected_transactions": expected, "p_alive": alive}
         if args.spend_artifact:
             spend = art.model_from_artifact(art.load_artifact(args.spend_artifact))
             clv = btyd.discounted_clv(
                 model, spend, summaries, args.horizon, args.discount_rate, args.period_days
             )
-            header = ["customer_id", "predicted_clv", "expected_transactions", "p_alive"]
-            columns = [clv, expected, alive]
-        write_csv(args.out, header, zip(summaries.ids, *(map(_fmt, c) for c in columns)))
+            columns = {"predicted_clv": clv, **columns}
+        write_csv(args.out, ["customer_id", *columns], [summaries.ids, *columns.values()])
     elif kind == "gamma_gamma":
         summaries = read_summary_csv(args.input)
         x, _, _, m = summary_arrays(summaries)
         values = np.atleast_1d(btyd.conditional_expected_value(model, x, m))
-        write_csv(args.out, ["customer_id", "expected_value"], zip(summaries.ids, map(_fmt, values)))
+        write_csv(args.out, ["customer_id", "expected_value"], [summaries.ids, values])
     elif kind == "basic":
-        value = cohort.basic_clv(model)
-        write_csv(args.out, ["clv"], [[_fmt(value)]])
+        write_csv(args.out, ["clv"], [[cohort.basic_clv(model)]])
     elif kind == "retention":
         if args.arpdau is None:
             raise DataError("retention prediction needs --arpdau")
-        value = cohort.retention_clv(args.arpdau, model, int(args.horizon))
-        write_csv(args.out, ["clv"], [[_fmt(value)]])
+        write_csv(args.out, ["clv"], [[cohort.retention_clv(args.arpdau, model, int(args.horizon))]])
     elif kind == "monetization":
-        with open(args.input, newline="") as fh:
-            try:
-                revenues = [(cid, float(revenue)) for cid, revenue in read_columns(fh, ("customer_id", "revenue"))]
-            except (TypeError, ValueError) as e:
-                raise DataError(f"malformed cell in {args.input}: {e}") from None
-        rows = [[cid, _fmt(cohort.monetization_clv(revenue, model, args.horizon))] for cid, revenue in revenues]
-        write_csv(args.out, ["customer_id", "predicted_clv"], rows)
+        ids, revenues = read_csv(args.input, ("customer_id", "revenue"), (str, float))
+        clv = cohort.monetization_clv(np.array(revenues), model, args.horizon)
+        write_csv(args.out, ["customer_id", "predicted_clv"], [ids, clv])
     elif kind == "markov":
         transitions, rewards = model
         horizon = None if args.infinite else int(args.horizon)
         values = markov.mcm_clv(transitions, rewards, args.discount_rate, horizon)
-        rows = [[label, _fmt(v)] for label, v in zip(transitions.space.labels, values)]
-        write_csv(args.out, ["state", "clv"], rows)
+        write_csv(args.out, ["state", "clv"], [transitions.space.labels, values])
     elif kind in ("forest", "three_stage"):
-        dataset = supervised.read_feature_csv(args.input)
-        if kind == "forest":
-            pred = forest_predict(model, dataset.features.values)
-        else:
-            pred = supervised.predict_three_stage(model, dataset.features.values)
-        rows = [
-            [pid, _fmt(pred[i])] for i, pid in enumerate(dataset.features.player_ids)
-        ]
-        write_csv(args.out, ["customer_id", "predicted_clv"], rows)
-    else:
-        raise DataError(f"prediction not implemented for {kind!r}")
+        features = supervised.read_feature_csv(args.input).features
+        predict = forest_predict if kind == "forest" else supervised.predict_three_stage
+        write_csv(args.out, ["customer_id", "predicted_clv"], [features.player_ids, predict(model, features.values)])
     print(f"wrote predictions to {args.out}")
     return 0
 
@@ -376,14 +350,9 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     dataset = supervised.read_feature_csv(args.input)
     config = _forest_config(args)
-    if args.model == "forest":
-        factory = lambda: supervised.ForestRegressor(config)
-    elif args.model == "three_stage":
-        factory = lambda: supervised.ThreeStageRegressor(config)
-    else:
-        raise DataError(f"evaluation supports forest or three_stage, not {args.model!r}")
+    regressor = {"forest": supervised.ForestRegressor, "three_stage": supervised.ThreeStageRegressor}[args.model]
     metrics = supervised.evaluate(
-        factory, dataset.features.values, dataset.targets, k=args.folds, seed=args.seed
+        lambda: regressor(config), dataset.features.values, dataset.targets, k=args.folds, seed=args.seed
     )
     for fm in metrics.folds:
         nr = "undefined" if fm.nrmse is None else f"{fm.nrmse:.6f}"
@@ -392,44 +361,34 @@ def cmd_evaluate(args):
     print(f"mean: mse={metrics.mse:.6f} nrmse={mean_nr}")
     if args.out:
         if args.format == "csv":
-            write_csv(
-                args.out,
-                ["fold", "n_test", "mse", "nrmse"],
-                [[fm.fold, fm.n_test, _fmt(fm.mse), "" if fm.nrmse is None else _fmt(fm.nrmse)] for fm in metrics.folds],
-            )
+            write_csv(args.out, ["fold", "n_test", "mse", "nrmse"], list(zip(*map(astuple, metrics.folds))))
         else:
-            blob = {
-                "mse": metrics.mse,
-                "nrmse": metrics.nrmse,
-                "target_range": metrics.target_range,
-                "folds": [
-                    {"fold": fm.fold, "n_test": fm.n_test, "mse": fm.mse, "nrmse": fm.nrmse}
-                    for fm in metrics.folds
-                ],
-            }
             with open(args.out, "w") as fh:
-                json.dump(blob, fh, indent=2)
+                json.dump(asdict(metrics), fh, indent=2)
     return 0
 
 
 def cmd_segment(args):
+    if args.artifact:
+        _require(args, "--spend-artifact")
     summaries = read_summary_csv(args.summaries)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     codes = rfm_quintile_scores(summaries)
+    cells = [codes[cid] for cid in summaries.ids]
     write_csv(
         out_dir / "quintiles.csv",
         ["customer_id", "r_quintile", "f_quintile", "m_quintile"],
-        [[cid, codes[cid].r_quintile, codes[cid].f_quintile, codes[cid].m_quintile] for cid in summaries.ids],
+        [summaries.ids, [c.r_quintile for c in cells], [c.f_quintile for c in cells], [c.m_quintile for c in cells]],
     )
-    weights = tuple(float(w) for w in args.weights.split(","))
-    ranked = weighted_rfm_rank(summaries, weights)
-    write_csv(
-        out_dir / "ranks.csv",
-        ["rank", "customer_id", "score"],
-        [[i + 1, cid, _fmt(score)] for i, (cid, score) in enumerate(ranked)],
-    )
+    weights = tuple(_number(w, "--weights") for w in args.weights.split(","))
+    try:
+        ranked = weighted_rfm_rank(summaries, weights)
+    except DataError as e:
+        raise DataError(f"--weights: {e}") from None
+    ids, scores = zip(*ranked)
+    write_csv(out_dir / "ranks.csv", ["rank", "customer_id", "score"], [range(1, len(ids) + 1), ids, scores])
 
     if args.artifact:
         purchase = art.model_from_artifact(art.load_artifact(args.artifact))
@@ -443,21 +402,16 @@ def cmd_segment(args):
             # bincount adds the weights in row order, as a running sum per customer would
             totals = np.bincount(hold.codes, weights=hold.payload, minlength=len(hold.ids))
             realized = dict(zip(hold.ids, totals.tolist()))
-        order = np.argsort(-clv, kind="stable")
         segments = np.empty(len(summaries), dtype=int)
-        for rank, idx in enumerate(order):
-            # rank 0 is the best customer; segment 5 is the top quintile
-            segments[idx] = 5 - int(rank * 5 / len(summaries))
-        rows = []
-        for seg in range(5, 0, -1):
-            mask = segments == seg
-            mean_clv = float(np.mean(clv[mask])) if mask.any() else 0.0
-            mean_real = float(np.mean([realized.get(cid, 0.0) for cid in summaries.ids[mask]])) if mask.any() else 0.0
-            rows.append([seg, int(mask.sum()), _fmt(mean_clv), _fmt(mean_real)])
+        # rank 0 is the best customer; segment 5 is the top quintile
+        segments[np.argsort(-clv, kind="stable")] = 5 - np.arange(len(summaries)) * 5 // len(summaries)
+        real = np.array([realized.get(cid, 0.0) for cid in summaries.ids])
+        masks = [segments == seg for seg in range(5, 0, -1)]
+        means = [[float(np.mean(v[mask])) if mask.any() else 0.0 for mask in masks] for v in (clv, real)]
         write_csv(
             out_dir / "segments.csv",
             ["segment", "count", "mean_predicted_clv", "mean_holdout_value"],
-            rows,
+            [range(5, 0, -1), [int(mask.sum()) for mask in masks], *means],
         )
     print(f"wrote segmentation reports to {out_dir}")
     return 0
@@ -508,7 +462,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("simulate", parents=[common], help="generate a synthetic cohort")
-    p.add_argument("--model", choices=("pareto_nbd", "bg_nbd"), required=True)
+    p.add_argument("--model", choices=tuple(_SIMULATORS), required=True)
     p.add_argument("--n-customers", type=int, required=True)
     p.add_argument("--days", type=float, required=True)
     p.add_argument("--params", required=True, help="e.g. r=0.5,alpha=10,s=0.6,beta=12")
@@ -574,6 +528,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_segment)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -581,10 +537,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args) or 0
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        return args.func(args) or 0
     except FileNotFoundError as e:
         print(f"error: input file not found: {e.filename}", file=sys.stderr)
         return 2

@@ -187,9 +187,9 @@ def fit_monetization_curve(points: Sequence[tuple[float, float]]) -> Monetizatio
     return MonetizationCurve(knot_days=days, knot_fractions=fracs)
 
 
-def monetization_clv(revenue_to_date: float, curve: MonetizationCurve, n_days: float) -> float:
-    """revenue so far divided by the fraction of revenue typically earned
-    by day n. A zero-revenue customer projects to exactly 0."""
+def monetization_clv(revenue_to_date, curve: MonetizationCurve, n_days: float):
+    """revenue so far, a float or an array of them, divided by the fraction
+    of revenue typically earned by day n. Zero revenue projects to exactly 0."""
     frac = curve.mon(n_days)
     if frac <= MON_FLOOR:
         raise NumericalError(f"mon({n_days}) = {frac:g} is at the division floor")

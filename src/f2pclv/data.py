@@ -9,12 +9,12 @@ every BTYD entry point, an `RFMSummary` row is built only where one is
 indexed or iterated, and `summary_arrays` turns a sequence of rows passed
 in into columns once.
 
-Every tabular file the toolkit reads goes through `read_columns` and every
-one it writes through `write_csv`: logs, summaries, curves, features and
-predictions alike. Every per-customer view of a log (RFM, the curves,
-Markov histories, supervised features) starts from `_group_by_customer`,
-and `rfm_summary` shares its RFM arithmetic with the simulator's ground
-truth through `_rfm_from_segments`.
+Only this module turns CSV cells to values and back: logs are read row by
+row through `read_columns`, other tables through the typed `read_csv`, and
+every file is written from columns by `write_csv`. Every per-customer view
+of a log (RFM, the curves, Markov histories, supervised features) starts
+from `_group_by_customer`, and `rfm_summary` shares its RFM arithmetic with
+the simulator's ground truth through `_rfm_from_segments`.
 
 Timestamps are days since an arbitrary epoch, as floats. Frequency counts
 repeat purchases only (the first purchase opens the relationship), and
@@ -258,11 +258,70 @@ def read_columns(source: Iterable[str] | str, columns: Sequence[str], delimiter:
             yield [row[i] if i < n else None for i in picks]
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def read_header(path) -> list[str]:
+    """The names in the header row of a CSV file."""
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh), [])
+
+
+def read_csv(path, columns: Sequence[str], types: Sequence[type]) -> list[list]:
+    """The cells of `columns` in a CSV file, a list per column converted by
+    its entry in `types`. A missing column, a short row or a cell that does
+    not convert is a DataError naming the file."""
+    with open(path, newline="") as fh:
+        cells = tuple(zip(*read_columns(fh, columns))) or ((),) * len(columns)
+    try:
+        if any(None in column for column in cells):
+            raise ValueError("a row is short of cells")
+        return [list(map(t, column)) for t, column in zip(types, cells)]
+    except (TypeError, ValueError) as e:
+        raise DataError(f"malformed cell in {path}: {e}") from None
+
+
+_CHUNK_ROWS = 16384
+_QUOTED_CHARS = frozenset(',"\r\n')
+
+
+def _quote(text: str) -> str:
+    return text if _QUOTED_CHARS.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return "" if value is None else _quote(str(value))
+
+
+def _text_of(column):
+    """The function that gives a cell of `column`, after `tolist`, its
+    text: `float.__repr__` for a float array, a lookup that quotes each
+    distinct string once for a column of strings, else `_cell`."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return float.__repr__
+    distinct = set(column)
+    if all(type(v) is str for v in distinct):
+        return {v: _quote(v) for v in distinct}.__getitem__
+    return _cell
+
+
+def _write_rows(fh, columns: Sequence[Sequence]) -> None:
+    texts = [_text_of(column) for column in columns]
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+        parts = (column[start:start + _CHUNK_ROWS] for column in columns)
+        cells = (map(text, p.tolist() if isinstance(p, np.ndarray) else p) for text, p in zip(texts, parts))
+        lines = map(",".join, zip(*cells))
+        if len(columns) == 1:  # a lone empty cell is quoted, or the row would read as blank
+            lines = ['""' if line == "" else line for line in lines]
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a header row and equal-length columns as the csv module's
+    writer would, `_CHUNK_ROWS` rows at a time: floats as `float.__repr__`
+    gives them, None as an empty cell, others through `str`, quoted as needed."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        _write_rows(fh, [[name] for name in header])
+        _write_rows(fh, columns)
 
 
 def _parse_log(source, mapping: ColumnMapping, row: type, column: str, payload_of) -> tuple[Rows, int]:
@@ -312,15 +371,12 @@ def parse_event_log(source: Iterable[str] | str, mapping: ColumnMapping = Column
 
 def write_transaction_csv(log: TransactionLog, path) -> None:
     r = log.records
-    # tolist: the repr of a Python float, not of np.float64
-    rows = zip(r.ids[r.codes], map(repr, r.times.tolist()), map(repr, r.payload.tolist()))
-    write_csv(path, ["customer_id", "timestamp", "value"], rows)
+    write_csv(path, ["customer_id", "timestamp", "value"], [r.ids[r.codes], r.times, r.payload])
 
 
 def write_event_csv(log: TransactionLog, path) -> None:
     e = log.events
-    rows = zip(e.ids[e.codes], map(repr, e.times.tolist()), e.payload)
-    write_csv(path, ["customer_id", "timestamp", "event_kind"], rows)
+    write_csv(path, ["customer_id", "timestamp", "event_kind"], [e.ids[e.codes], e.times, e.payload])
 
 
 def _group_by_customer(*streams: Rows):
@@ -405,19 +461,13 @@ SUMMARY_COLUMNS = ("customer_id", "frequency", "recency", "T", "monetary_value")
 
 
 def write_summary_csv(summaries: RFMSummaries | Iterable[RFMSummary], path) -> None:
-    # tolist: the repr of a Python float, not of np.float64
-    ids, x, t_x, T, m = (c.tolist() for c in _summaries_of(summaries)._columns())
-    write_csv(path, SUMMARY_COLUMNS, zip(ids, map(int, x), map(repr, t_x), map(repr, T), map(repr, m)))
+    ids, x, t_x, T, m = _summaries_of(summaries)._columns()
+    write_csv(path, SUMMARY_COLUMNS, [ids, list(map(int, x.tolist())), t_x, T, m])
 
 
 def read_summary_csv(path) -> RFMSummaries:
-    with open(path, newline="") as fh:
-        ids, x, t_x, age, m = tuple(zip(*read_columns(fh, SUMMARY_COLUMNS))) or ((),) * 5
-    try:
-        # int: a frequency cell must be a whole number
-        return RFMSummaries(ids, list(map(int, x)), *(list(map(float, c)) for c in (t_x, age, m)))
-    except (TypeError, ValueError) as e:
-        raise DataError(f"malformed cell in {path}: {e}") from None
+    # int: a frequency cell must be a whole number
+    return RFMSummaries(*read_csv(path, SUMMARY_COLUMNS, (str, int, float, float, float)))
 
 
 def split_calibration_holdout(log: TransactionLog, cutoff: float) -> tuple[TransactionLog, TransactionLog]:
@@ -485,9 +535,9 @@ def weighted_rfm_rank(
     Returns (customer_id, score) in descending score order with ties broken
     by customer id.
     """
+    if len(weights) != 3 or min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
+        raise DataError(f"weights must be three non-negative numbers that sum to 1, got {tuple(weights)}")
     w_r, w_f, w_m = weights
-    if min(weights) < 0 or abs(w_r + w_f + w_m - 1.0) > 1e-9:
-        raise DataError("weights must be non-negative and sum to 1")
     summaries = _summaries_of(summaries)
     if not summaries:
         raise DataError("no customers to rank")

@@ -20,7 +20,8 @@ from .data import (
     TransactionLog,
     _distinct_days,
     _group_by_customer,
-    read_columns,
+    read_csv,
+    read_header,
     write_csv,
 )
 from .errors import DataError
@@ -124,35 +125,27 @@ def extract_features(
 
 def write_feature_csv(dataset: ExtractedDataset, path) -> None:
     fm = dataset.features
-    table = np.column_stack([fm.values, dataset.targets, dataset.purchase_counts]).tolist()
-    rows = ([pid, *map(repr, cells)] for pid, cells in zip(fm.player_ids, table))
-    write_csv(path, ("player_id",) + fm.columns + ("future_revenue", "future_purchases"), rows)
+    table = np.column_stack([fm.values, dataset.targets, dataset.purchase_counts])
+    write_csv(path, ("player_id",) + fm.columns + ("future_revenue", "future_purchases"), [fm.player_ids, *table.T])
 
 
 def read_feature_csv(path) -> ExtractedDataset:
-    """Read a file written by `write_feature_csv`; a file without a
-    future_purchases column reads as zero purchase counts."""
-    columns = ("player_id",) + FEATURE_COLUMNS + ("future_revenue", "future_purchases")
-    with open(path, newline="") as fh:
-        try:
-            rows = list(read_columns(fh, columns))
-        except DataError:  # read again without the counts; a column still missing raises
-            fh.seek(0)
-            rows = [cells + ["0"] for cells in read_columns(fh, columns[:-1])]
-    if not rows:
+    """Read a file written by `write_feature_csv`; a file whose header has
+    no future_purchases column reads as zero purchase counts."""
+    counted = "future_purchases" in read_header(path)
+    columns = ("player_id",) + FEATURE_COLUMNS + ("future_revenue",) + ("future_purchases",) * counted
+    ids, *cells = read_csv(path, columns, (str,) + (float,) * (len(columns) - 1))
+    if not ids:
         raise DataError(f"no feature rows in {path}")
     n = len(FEATURE_COLUMNS)
-    try:
-        values = np.array([[float(c) for c in cells[1 : n + 1]] for cells in rows])
-        targets = np.array([float(cells[n + 1]) for cells in rows])
-        counts = np.array([float(cells[n + 2]) for cells in rows])
-    except (TypeError, ValueError) as e:
-        raise DataError(f"malformed cell in {path}: {e}") from None
+    values = np.column_stack(cells[:n])
+    targets = np.array(cells[n])
+    counts = np.array(cells[n + 1]) if counted else np.zeros(len(ids))
     features = FeatureMatrix(
         columns=FEATURE_COLUMNS,
         kinds=("continuous",) * n,
         values=values,
-        player_ids=tuple(cells[0] for cells in rows),
+        player_ids=tuple(ids),
     )
     return ExtractedDataset(features=features, targets=targets, purchase_counts=counts, n_excluded=0)
 

@@ -13,7 +13,6 @@ from f2pclv.data import (
     parse_transaction_log,
     read_summary_csv,
     rfm_summary,
-    write_csv,
     write_summary_csv,
 )
 
@@ -142,12 +141,15 @@ def test_gamma_gamma_predict_equals_per_customer_calls(workspace, tmp_path):
     ]) == 0
     spend = art.model_from_artifact(art.load_artifact(workspace / "gg.json"))
     summaries = read_summary_csv(workspace / "summaries.csv")
-    # byte for byte the CSV of one scalar call per customer
+    # byte for byte the CSV of one scalar call per customer, as csv.writer writes it
     reference = tmp_path / "gg_reference.csv"
-    write_csv(reference, ["customer_id", "expected_value"], [
-        [s.customer_id, repr(float(btyd.conditional_expected_value(spend, s.frequency, s.monetary_value)))]
-        for s in summaries
-    ])
+    with open(reference, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["customer_id", "expected_value"])
+        w.writerows(
+            [s.customer_id, float(btyd.conditional_expected_value(spend, s.frequency, s.monetary_value))]
+            for s in summaries
+        )
     assert pred_path.read_bytes() == reference.read_bytes()
 
 
@@ -320,6 +322,34 @@ def test_malformed_input_csv_is_data_error(tmp_path, capsys, command, text):
     code = main(command + ["--input", str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert str(bad) in capsys.readouterr().err
+
+
+_SIMULATE = "simulate --model bg_nbd --n-customers 10 --days 30 --out-dir {tmp}/sim"
+_PARAMS = "r=0.4,alpha=8,a=0.8,b=2.5"
+
+
+@pytest.mark.parametrize(
+    "command, code, flag",
+    [
+        (f"{_SIMULATE} --params r=abc,alpha=8,a=0.8,b=2.5", 2, "--params"),
+        (f"{_SIMULATE} --params {_PARAMS},bb=2.5", 2, "--params"),
+        (f"{_SIMULATE} --params {_PARAMS} --spend p=6", 2, "--spend"),
+        ("segment --summaries {ws}/summaries.csv --weights 0.5,x,0.5 --out-dir {tmp}/seg", 2, "--weights"),
+        ("segment --summaries {ws}/summaries.csv --weights 0.5,0.5 --out-dir {tmp}/seg", 2, "--weights"),
+        ("fit --model bg_nbd --out {tmp}/bg.json", 1, "--input"),
+        ("predict --artifact {ws}/bg.json --out {tmp}/pred.csv", 1, "--input"),
+        ("segment --summaries {ws}/summaries.csv --artifact {ws}/bg.json --out-dir {tmp}/seg", 1, "--spend-artifact"),
+    ],
+    ids=[
+        "non_numeric_param", "unknown_param", "missing_spend_param", "non_numeric_weight", "two_weights",
+        "fit_without_input", "predict_without_input", "segment_without_spend_artifact",
+    ],
+)
+def test_bad_or_missing_flag_is_an_error_line_naming_it(workspace, tmp_path, capsys, command, code, flag):
+    assert main(command.format(ws=workspace, tmp=tmp_path).split()) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert any(line.startswith("error: ") and flag in line for line in err.splitlines()), err
 
 
 def test_malformed_revenue_csv_is_data_error(tmp_path, capsys):

@@ -9,6 +9,8 @@ import pytest
 
 from f2pclv.btyd import GammaGammaParams, ParetoNBDParams
 from f2pclv.data import (
+    _CHUNK_ROWS,
+    EVENT_KINDS,
     ActivityConfig,
     ColumnMapping,
     GameEvent,
@@ -21,6 +23,8 @@ from f2pclv.data import (
     daily_active_fractions,
     parse_event_log,
     parse_transaction_log,
+    read_columns,
+    read_csv,
     read_summary_csv,
     rfm_quintile_scores,
     rfm_summary,
@@ -28,6 +32,7 @@ from f2pclv.data import (
     summaries_from_arrays,
     summary_arrays,
     weighted_rfm_rank,
+    write_csv,
     write_event_csv,
     write_summary_csv,
     write_transaction_csv,
@@ -131,6 +136,72 @@ class TestParsing:
             re_events = parse_event_log(fh).log
         assert list(re_log.records) == list(log.records)
         assert list(re_events.events) == list(log.events)
+
+
+_ODD_IDS = ["a,b", 'q"x', "r\rs", "n\nl", "crlf\r\nx", "", " lead", "trail ", "é", "日本", "plain"]
+
+
+def _text(value) -> str:
+    """A cell's text as csv.writer writes it, before quoting."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+class TestWriteCsv:
+    """`write_csv` against stdlib `csv.writer` as the oracle."""
+
+    TABLES = {
+        "odd_ids": (["customer_id", "value"], [np.array(_ODD_IDS, dtype=object), np.arange(11.0)]),
+        "special_floats": (
+            ["id", "x"],
+            [["n", "pinf", "ninf", "negzero", "tiny", "sum"],
+             np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2])],
+        ),
+        "float64_scalars": (["x"], [[np.float64(0.1), np.float64(-0.0), np.float64(1e-7)]]),
+        "ints_and_none": (
+            ["n", "x", "label"],
+            [[0, -3, 10**20], [None, 1.5, None], ["x", None, "y,z"]],
+        ),
+        "one_empty_column": (["name"], [["", "a", None]]),
+        "empty_header_cell": ([""], [[""]]),
+        "longer_than_a_chunk": (
+            ["customer_id", "timestamp", "event_kind"],
+            [
+                np.array([_ODD_IDS[i % 11] for i in range(2 * _CHUNK_ROWS + 5)], dtype=object),
+                np.random.default_rng(3).exponential(50.0, 2 * _CHUNK_ROWS + 5),
+                [EVENT_KINDS[i % 3] for i in range(2 * _CHUNK_ROWS + 5)],
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_bytes_equal_csv_writer_and_read_back(self, tmp_path, name):
+        header, columns = self.TABLES[name]
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write_csv(ours, header, columns)
+        with open(oracle, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(zip(*columns))
+        assert ours.read_bytes() == oracle.read_bytes()
+        with open(ours, newline="") as fh:
+            back = list(read_columns(fh, header))
+        assert back == [[_text(v) for v in row] for row in zip(*columns)]
+
+
+class TestReadCsv:
+    def test_converts_each_column_by_its_type(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('id,n,x\n"a,b",3,0.5\nc,-1,1e-3\n')
+        assert read_csv(path, ("x", "id", "n"), (float, str, int)) == [[0.5, 1e-3], ["a,b", "c"], [3, -1]]
+
+    @pytest.mark.parametrize("row", ["2,1.0", "2,x,c", "2.5,1.0,c"], ids=["row_without_id", "bad_float", "bad_int"])
+    def test_malformed_cell_is_data_error(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"n,x,id\n1,1.0,a\n{row}\n")
+        with pytest.raises(DataError, match=f"malformed cell in {path}"):
+            read_csv(path, ("id", "n", "x"), (str, int, float))
 
 
 class TestRFMSummary:
@@ -493,3 +564,8 @@ class TestWeightedRank:
     def test_invalid_weights(self):
         with pytest.raises(DataError):
             weighted_rfm_rank([_summary("a", 1, 0.0, 1.0, 1.0)], (0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)])
+    def test_weights_must_be_three(self, weights):
+        with pytest.raises(DataError, match="three"):
+            weighted_rfm_rank([_summary("a", 1, 0.0, 1.0, 1.0)], weights)

@@ -167,6 +167,16 @@ class TestFeatureCsv:
         assert np.array_equal(back.targets, dataset.targets)
         assert np.array_equal(back.purchase_counts, np.zeros(2))
 
+    def test_bad_purchase_count_cell_is_not_read_as_zero(self, tmp_path):
+        # the header, not a failed read, decides whether counts default to 0
+        path = tmp_path / "features.csv"
+        path.write_text(
+            ",".join(("player_id",) + FEATURE_COLUMNS + ("future_revenue", "future_purchases"))
+            + "\np1,1.0,2.0,1.0,0.0,0.0,0.0,0.0\np2,3.0,5.0,2.0,1.0,4.5,12.25,many\n"
+        )
+        with pytest.raises(DataError, match="malformed cell"):
+            read_feature_csv(path)
+
 
 class TestSmote:
     @pytest.mark.parametrize("n_features", [1, 5, 7, 8, 12])
