@@ -64,12 +64,17 @@ def _number(text: str, flag: str) -> float:
 
 def _parse_params(cls, text: str, flag: str):
     """An instance of the dataclass `cls` from a flag's comma-separated
-    key=value list, whose keys must be its fields."""
+    key=value list, whose keys must be its fields. Every DataError, the
+    class's own checks included, names the flag."""
     pairs = [part.partition("=") for part in text.split(",") if part.strip()]
     names = [f.name for f in fields(cls)]
     if not all(eq for _, eq, _ in pairs) or sorted(k.strip() for k, _, _ in pairs) != sorted(names):
         raise DataError(f"{flag}: expected key=value for each of {', '.join(names)}, got {text!r}")
-    return cls(**{k.strip(): _number(v, flag) for k, _, v in pairs})
+    values = {k.strip(): _number(v, flag) for k, _, v in pairs}
+    try:
+        return cls(**values)
+    except DataError as e:
+        raise DataError(f"{flag}: {e}") from None
 
 
 def _load_log(transactions, events=None, iso_dates=False) -> TransactionLog:
@@ -327,8 +332,7 @@ def cmd_predict(args):
     elif kind == "basic":
         write_csv(args.out, ["clv"], [[cohort.basic_clv(model)]])
     elif kind == "retention":
-        if args.arpdau is None:
-            raise DataError("retention prediction needs --arpdau")
+        _require(args, "--arpdau")
         write_csv(args.out, ["clv"], [[cohort.retention_clv(args.arpdau, model, int(args.horizon))]])
     elif kind == "monetization":
         ids, revenues = read_csv(args.input, ("customer_id", "revenue"), (str, float))

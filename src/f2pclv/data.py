@@ -14,7 +14,12 @@ row through `read_columns`, other tables through the typed `read_csv`, and
 every file is written from columns by `write_csv`. Every per-customer view
 of a log (RFM, the curves, Markov histories, supervised features) starts
 from `_group_by_customer`, and `rfm_summary` shares its RFM arithmetic with
-the simulator's ground truth through `_rfm_from_segments`.
+the simulator's ground truth through `_rfm_from_segments`. That reduces the
+customers' purchase segments one length class at a time: the segments of
+one length form a C-contiguous (customers, length) block from
+`_segments_by_length`, reduced along its rows. numpy sums along the fast
+axis in memory pairwise, as it sums a 1-D array, so a block's means have
+the bits of one `np.mean` per customer, without a Python loop over them.
 
 Timestamps are days since an arbitrary epoch, as floats. Frequency counts
 repeat purchases only (the first purchase opens the relationship), and
@@ -405,22 +410,37 @@ def _distinct_days(codes: np.ndarray, days: np.ndarray):
     return keys // width, keys % width
 
 
+def _segments_by_length(counts):
+    """Consecutive segments of rows, `counts[i]` rows for segment i, one
+    length class at a time: for each distinct positive length L, in
+    increasing order, the segments of that length, in index order, and a
+    C-contiguous (segments, L) array of their row positions."""
+    order = np.argsort(counts, kind="stable")
+    order = order[counts[order] > 0]
+    if not len(order):
+        return
+    starts = np.cumsum(counts) - counts
+    for segments in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        yield segments, starts[segments][:, None] + np.arange(counts[segments[0]])
+
+
 def _rfm_from_segments(first, counts, times, values):
     """(recency, monetary_value) arrays of customers whose repeat purchases
     are consecutive segments of `times` and `values`: `counts[i]` rows for
     customer i, in time order, after a first purchase at `first[i]`. The
     frequency is `counts` itself.
 
-    The monetary value stays one `np.mean` per segment: a reduceat or a
-    weighted bincount would round differently from it.
+    The monetary values of a length class are one `np.mean` along the rows
+    of its (customers, length) block. numpy sums along the fast axis in
+    memory pairwise, as it sums a 1-D array, so each customer's mean has the
+    bits of `np.mean` over that customer's segment alone; a reduceat or a
+    weighted bincount would round differently.
     """
-    ends = np.cumsum(counts)
     recency = np.zeros(len(counts))
     monetary = np.zeros(len(counts))
-    repeaters = np.flatnonzero(counts > 0)
-    recency[repeaters] = times[ends[repeaters] - 1] - first[repeaters]
-    for i in repeaters:
-        monetary[i] = float(np.mean(values[ends[i] - counts[i]:ends[i]]))
+    for customers, block in _segments_by_length(counts):
+        recency[customers] = times[block[:, -1]] - first[customers]
+        monetary[customers] = np.mean(values[block], axis=1)
     return recency, monetary
 
 

@@ -6,6 +6,10 @@ a Poisson purchase process until death or the end of observation; BG/NBD
 cohorts instead flip a beta-distributed dropout coin after every repeat
 purchase. Spend attaches to each purchase through the gamma-gamma
 hierarchy. Generation is vectorized and fully determined by (config, seed).
+A customer's purchase and session times are sorted uniform draws. The
+customers with the same number of draws are sorted together, as the rows
+of one (customers, length) block from `data._segments_by_length`, which
+gives each customer's draws the order a full sort by (customer, draw) would.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .btyd import BGNBDParams, GammaGammaParams, ParetoNBDParams
-from .data import GameEvent, RFMSummaries, Rows, Transaction, TransactionLog, _rfm_from_segments
+from .data import GameEvent, RFMSummaries, Rows, Transaction, TransactionLog, _rfm_from_segments, _segments_by_length
 from .errors import DataError
 from .markov import RewardVector, TransitionMatrix
 
@@ -79,12 +83,12 @@ def _customer_ids(n):
 
 
 def _sorted_segment_uniforms(rng, counts):
-    """Uniform(0,1) draws grouped by customer and sorted within customer."""
-    total = int(counts.sum())
-    u = rng.random(total)
-    cust = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort((u, cust))
-    return u[order], cust
+    """Uniform(0,1) draws grouped by customer and sorted within customer,
+    each length class of customers sorted as one block along its rows."""
+    u = rng.random(int(counts.sum()))
+    for _, block in _segments_by_length(counts):
+        u[block] = np.sort(u[block], axis=1)
+    return u, np.repeat(np.arange(len(counts)), counts)
 
 
 def _segment_offsets(counts):

@@ -1,11 +1,12 @@
-"""Gauss hypergeometric function 2F1 for real arguments with z < 1.
+"""Gauss hypergeometric function 2F1 for real arguments with 0 <= z < 1.
 
 The buy-till-you-die likelihoods evaluate 2F1 for every customer on every
 optimizer step, with moderate parameters but arguments that can approach
 the z = 1 singularity, so this is implemented as one vectorized power
 series, summed in linear space and rescaled by powers of two when a sum
 outgrows double range, together with the standard 1-z connection formula
-near the singularity and Pfaff's transformation for negative z.
+near the singularity. The likelihoods never pass a negative z, and this
+module rejects one.
 
 Scoring one customer makes calls of one to a dozen rows, where the cost of
 a term is the interpreter's, not the arithmetic's. So each pass over the
@@ -37,7 +38,7 @@ have a tangent and sums each partial derivative beside the value, stopping
 with it; once a row has converged they are contracted with the tangents.
 Near z = 1 the connection formula carries the tangents through both series
 in w = 1 - z, the digamma of its gamma ratios and its w^(c-a-b) factor.
-Tangents need 0 <= z < 1. A call without tangents does none of this work.
+A call without tangents does none of this work.
 """
 
 from __future__ import annotations
@@ -320,13 +321,13 @@ def _connection_log(a, b, c, z, max_terms, tangents=None):
 def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
     """(sign, log|2F1(a, b; c; z)|), vectorized over broadcast inputs.
 
-    Supports real arguments with -0.9 <= z < 1; raises NumericalError if
-    the series fails to converge and ValueError outside the domain.
+    Supports real arguments with 0 <= z < 1; raises NumericalError if the
+    series fails to converge and ValueError outside the domain.
 
     With tangents = (da, db, dc, dz), each of shape (k,) + the broadcast
     shape of the inputs, or None for an input held fixed, returns (sign,
     log|2F1|, dlog) instead, where dlog[j] is the derivative of log|2F1|
-    along the j-th of the k directions; this needs 0 <= z < 1.
+    along the j-th of the k directions.
     """
     scalar = all(np.ndim(v) == 0 for v in (a, b, c, z))
     a, b, c, z = (np.asarray(v, dtype=float) for v in (a, b, c, z))
@@ -335,26 +336,14 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
     a, b, c, z = (
         (v if v.shape == shape and v.flags.c_contiguous else np.full(shape, v)).reshape(-1) for v in (a, b, c, z)
     )
-    if (z >= 1.0).any() or (z < -_Z_SWITCH).any():
-        raise ValueError("2F1 evaluation requires -0.9 <= z < 1")
-
-    log_scale = 0.0
-    neg = z < 0.0
+    if (z >= 1.0).any() or (z < 0.0).any():
+        raise ValueError("2F1 evaluation requires 0 <= z < 1")
     if tangents is not None:
-        if neg.any():
-            raise ValueError("2F1 derivatives require 0 <= z < 1")
         k = next(np.shape(t)[0] for t in tangents if t is not None)
         tangents = tuple(
             None if t is None else np.broadcast_to(t, (k,) + shape).reshape(k, -1)
             for t in tangents
         )
-    elif neg.any():
-        # Pfaff: 2F1(a, b; c; z) = (1-z)^(-b) 2F1(c-a, b; c; z/(z-1)) maps
-        # [-0.9, 0) into (0, 0.48), sparing the alternating series its
-        # cancellation at large parameters
-        log_scale = np.where(neg, -b * np.log1p(-z), 0.0)
-        a = np.where(neg, c - a, a)
-        z = np.where(neg, z / (z - 1.0), z)
 
     log_f, sign_f = np.empty_like(z), np.empty_like(z)
     dlog_f = None if tangents is None else np.empty((k, z.size))
@@ -372,7 +361,6 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
             log_f[rows], sign_f[rows], d = evaluate(a[rows], b[rows], c[rows], z[rows], max_terms, row_tangents)
             if d is not None:
                 dlog_f[:, rows] = d
-    log_f = log_f + log_scale
     values = (float(sign_f[0]), float(log_f[0])) if scalar else (sign_f.reshape(shape), log_f.reshape(shape))
     if tangents is None:
         return values

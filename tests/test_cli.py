@@ -43,6 +43,10 @@ def workspace(tmp_path_factory):
         "fit", "--model", "gamma_gamma", "--input", str(root / "summaries.csv"),
         "--payers-only", "--out", str(root / "gg.json"),
     ]) == 0
+    art.save_artifact(
+        art.ModelArtifact(model_kind="retention", parameters={"family": "power_law", "k": 0.5, "steps": [], "rss": 0.0}),
+        root / "ret.json",
+    )
     return root
 
 
@@ -334,15 +338,19 @@ _PARAMS = "r=0.4,alpha=8,a=0.8,b=2.5"
         (f"{_SIMULATE} --params r=abc,alpha=8,a=0.8,b=2.5", 2, "--params"),
         (f"{_SIMULATE} --params {_PARAMS},bb=2.5", 2, "--params"),
         (f"{_SIMULATE} --params {_PARAMS} --spend p=6", 2, "--spend"),
+        (f"{_SIMULATE} --params r=-1,alpha=8,a=0.8,b=2.5", 2, "--params"),
+        (f"{_SIMULATE} --params {_PARAMS} --spend p=6,q=0,gamma=15", 2, "--spend"),
         ("segment --summaries {ws}/summaries.csv --weights 0.5,x,0.5 --out-dir {tmp}/seg", 2, "--weights"),
         ("segment --summaries {ws}/summaries.csv --weights 0.5,0.5 --out-dir {tmp}/seg", 2, "--weights"),
         ("fit --model bg_nbd --out {tmp}/bg.json", 1, "--input"),
         ("predict --artifact {ws}/bg.json --out {tmp}/pred.csv", 1, "--input"),
         ("segment --summaries {ws}/summaries.csv --artifact {ws}/bg.json --out-dir {tmp}/seg", 1, "--spend-artifact"),
+        ("predict --artifact {ws}/ret.json --out {tmp}/pred.csv", 1, "--arpdau"),
     ],
     ids=[
-        "non_numeric_param", "unknown_param", "missing_spend_param", "non_numeric_weight", "two_weights",
-        "fit_without_input", "predict_without_input", "segment_without_spend_artifact",
+        "non_numeric_param", "unknown_param", "missing_spend_param", "invalid_param", "invalid_spend_param",
+        "non_numeric_weight", "two_weights", "fit_without_input", "predict_without_input",
+        "segment_without_spend_artifact", "retention_predict_without_arpdau",
     ],
 )
 def test_bad_or_missing_flag_is_an_error_line_naming_it(workspace, tmp_path, capsys, command, code, flag):

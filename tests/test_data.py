@@ -18,6 +18,8 @@ from f2pclv.data import (
     RFMSummary,
     Transaction,
     TransactionLog,
+    _rfm_from_segments,
+    _segments_by_length,
     activity_state,
     cumulative_revenue_fractions,
     daily_active_fractions,
@@ -256,6 +258,50 @@ class TestRFMSummary:
         log, truth = simulate_pareto_nbd_cohort(config)
         summaries = rfm_summary(log, config.observation_end)
         assert summaries == truth.summaries()
+
+
+def _rfm_one_segment_at_a_time(first, counts, times, values):
+    """`_rfm_from_segments` as one `np.mean` per customer's segment."""
+    ends = np.cumsum(counts)
+    recency = np.zeros(len(counts))
+    monetary = np.zeros(len(counts))
+    for i in np.flatnonzero(counts > 0):
+        recency[i] = times[ends[i] - 1] - first[i]
+        monetary[i] = float(np.mean(values[ends[i] - counts[i]:ends[i]]))
+    return recency, monetary
+
+
+class TestSegmentsByLength:
+    def test_blocks_cover_each_segment_once_in_length_classes(self):
+        counts = np.array([3, 0, 1, 3, 2, 0, 1, 3])
+        blocks = list(_segments_by_length(counts))
+        assert [block.shape[1] for _, block in blocks] == [1, 2, 3]
+        assert [segments.tolist() for segments, _ in blocks] == [[2, 6], [4], [0, 3, 7]]
+        assert blocks[2][1].tolist() == [[0, 1, 2], [4, 5, 6], [10, 11, 12]]
+        assert all(block.flags.c_contiguous for _, block in blocks)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            np.repeat(np.arange(601), 5),
+            np.array([], dtype=np.intp),
+            np.zeros(6, dtype=np.intp),
+            np.array([257]),
+        ],
+        ids=["lengths_0_to_600", "empty", "all_zero", "one_segment"],
+    )
+    def test_rfm_equals_one_mean_per_segment_bit_for_bit(self, counts):
+        # sums of up to 600 values spread over nine decades: a running sum
+        # or a reduceat rounds differently from np.mean's pairwise sum
+        rng = np.random.default_rng(12)
+        counts = rng.permutation(counts)
+        n = int(counts.sum())
+        first = rng.uniform(0.0, 50.0, len(counts))
+        times = rng.uniform(50.0, 400.0, n)
+        values = 10.0 ** rng.uniform(-3.0, 6.0, n)
+        got = _rfm_from_segments(first, counts, times, values)
+        want = _rfm_one_segment_at_a_time(first, counts, times, values)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 class TestRFMSummaries:

@@ -8,6 +8,7 @@ from f2pclv.btyd import BGNBDParams, GammaGammaParams, ParetoNBDParams
 from f2pclv.markov import RewardVector, StateSpace, TransitionMatrix, learn_transition_matrix
 from f2pclv.simulate import (
     SimConfig,
+    _sorted_segment_uniforms,
     simulate_bg_nbd_cohort,
     simulate_markov_cohort,
     simulate_pareto_nbd_cohort,
@@ -188,6 +189,26 @@ class TestBGNBDCohort:
         log2, _ = simulate_bg_nbd_cohort(config)
         assert list(log1.records) == list(log2.records)
         assert list(log1.events) == list(log2.events)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.random.default_rng(2).poisson(np.repeat([0.5, 4.0, 60.0], 200)),
+        np.array([], dtype=np.intp),
+        np.zeros(3, dtype=np.intp),
+    ],
+    ids=["mixed_lengths", "empty", "all_zero"],
+)
+def test_sorted_segment_uniforms_equal_a_lexsort_of_the_draws(counts):
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    u, cust = _sorted_segment_uniforms(rng, counts)
+    raw = ref_rng.random(int(counts.sum()))
+    ref_cust = np.repeat(np.arange(len(counts)), counts)
+    assert u.tobytes() == raw[np.lexsort((raw, ref_cust))].tobytes()
+    assert np.array_equal(cust, ref_cust)
+    # the generator is left where one draw of every uniform leaves it
+    assert rng.random() == ref_rng.random()
 
 
 class TestMarkovCohort:

@@ -74,13 +74,12 @@ def test_rows_converge_independently_of_each_other():
     # each row stops summing at its own convergence, so mixing rows that
     # take a few terms with rows that take hundreds changes no row's value
     rng = np.random.default_rng(4)
-    a = rng.uniform(0.5, 60.0, 60)
-    b = rng.uniform(0.1, 20.0, 60)
+    a = rng.uniform(0.5, 60.0, 45)
+    b = rng.uniform(0.1, 20.0, 45)
     z = np.concatenate([
         rng.uniform(0.0, 0.05, 15),  # a handful of terms
         rng.uniform(0.6, 0.9, 15),  # hundreds of terms
         rng.uniform(0.9, 0.999, 15),  # connection formula
-        rng.uniform(-0.9, -0.5, 15),  # Pfaff's transformation
     ])
     # sums beyond double range, which the series rescales as it goes
     a = np.concatenate([a, rng.uniform(20.0, 60.0, 10)])
@@ -159,21 +158,6 @@ def test_row_converging_on_its_last_allowed_term_does_not_depend_on_block_width(
     _assert_width_independent(a, b, c, z, max_terms=39, with_tangents=with_tangents)
 
 
-def test_negative_z_with_large_parameters_matches_mpmath():
-    # summed directly, the alternating series loses every digit here to
-    # cancellation
-    cases = [
-        (49.30593430931766, 16.449907396550344, 50.30593430931766, -0.8661469494665153),
-        (26.05, 17.98, 27.05, -0.70),
-        (120.0, 40.0, 90.5, -0.9),
-    ]
-    for a, b, c, z in cases:
-        sign, log_f = log_hyp2f1(a, b, c, z)
-        ref = mpmath.hyp2f1(a, b, c, z)
-        assert sign == float(mpmath.sign(ref))
-        assert log_f == pytest.approx(float(mpmath.log(abs(ref))), rel=1e-11)
-
-
 def test_euler_identity_c_equals_b():
     # 2F1(a, b; b; z) = (1 - z)^(-a)
     rng = np.random.default_rng(3)
@@ -194,6 +178,8 @@ def test_domain_errors():
         hyp2f1(1.0, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 2.0, -0.95)
+    with pytest.raises(ValueError):
+        hyp2f1(1.0, 1.0, 2.0, -0.5)
 
 
 def test_nonconvergence_raises_with_diagnostic():
