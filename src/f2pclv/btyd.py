@@ -77,6 +77,8 @@ class FitResult:
 
 def _as_arrays(*values):
     arrs = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+    if all(v.shape == arrs[0].shape for v in arrs[1:]):
+        return arrs
     return np.broadcast_arrays(*arrs)
 
 
@@ -115,12 +117,14 @@ def _pareto_tail_term(r, alpha, s, beta, x, t, grad=False):
     or s+1 exactly. The direct series would need about b*z/(1-z) terms,
     growing with the purchase count when b = r+x; this one has positive
     terms with ratio (a+1-b+n)/(a+1+n)*z <= z, so below the z = 0.9 switch
-    every row stops within about 260 terms whatever its purchase count."""
+    every row stops within about 260 terms whatever its purchase count. The
+    2F1's a = 1, and for alpha < beta its b = s+1, hold for every row and are
+    passed as scalars."""
     rsx = r + s + x
     if alpha >= beta:
         base, other, b, b_euler = alpha, beta, s + 1.0, r + x
     else:
-        base, other, b, b_euler = beta, alpha, r + x, np.full_like(x, s + 1.0)
+        base, other, b, b_euler = beta, alpha, r + x, s + 1.0
     q = base + t
     z = abs(alpha - beta) / q
     if not grad:
@@ -284,22 +288,37 @@ def bg_nbd_loglik(params: BGNBDParams, frequency, recency, age):
 def _bg_expected_arrays(params, x, t_x, T):
     """BG/NBD conditional expected purchases in (T, T + h] as a per-customer
     factor, (a+b+x-1)/(a-1)/(1+odds), and a function of (x, T, h) giving the
-    horizon factor, one 2F1 call over all its cells."""
+    horizon factor 1 - P, one 2F1 call over all its cells.
+
+    P = (1-z)^(r+x) 2F1(r+x, b+x; a+b+x-1; z) with z = h/(alpha+T+h) is
+    summed in Euler's form, (1-z)^(a-1) 2F1(a+b-1-r, a-1; a+b+x-1; z), whose
+    numerator parameters are the same for every cell. Its terms from the
+    first on carry the factor a-1, so log 2F1 = log1p of their sum keeps its
+    digits, and 1 - P = -expm1(log P) has no cancellation at short horizons
+    or with a near 1. At heavy buyers' large c it also needs far fewer terms
+    than the direct series."""
     r, alpha, a, b = params.r, params.alpha, params.a, params.b
     if abs(a - 1.0) < 1e-9:
         a = 1.0 + 1e-9  # the closed form has a removable singularity at a = 1
     repeat = x > 0
+    # ((alpha+T)/(alpha+t_x))^(r+x) by log1p: a heavy buyer's exponent would
+    # multiply the rounding of the quotient
     odds = np.where(
         repeat,
-        a / np.where(repeat, b + x - 1.0, 1.0) * ((alpha + T) / (alpha + t_x)) ** (r + x),
+        a / np.where(repeat, b + x - 1.0, 1.0) * np.exp((r + x) * np.log1p((T - t_x) / (alpha + t_x))),
         0.0,
     )
 
     def horizon_factor(x, T, h):
-        sign, log_f = log_hyp2f1(r + x, b + x, a + b + x - 1.0, h / (alpha + T + h))
-        # one exp of the summed logs: for heavy buyers over long horizons the
-        # 2F1 overflows while the power term underflows
-        return 1.0 - sign * np.exp(log_f - (r + x) * np.log1p(h / (alpha + T)))
+        sign, log_f = log_hyp2f1(a + b - 1.0 - r, a - 1.0, a + b + x - 1.0, h / (alpha + T + h))
+        # log P, with log(1-z) = -log1p(h/(alpha+T))
+        log_p = log_f - (a - 1.0) * np.log1p(h / (alpha + T))
+        out = -np.expm1(log_p)
+        # at a + b < 1 a zero-repeat customer's 2F1 can be negative
+        if sign.min() < 0.0:
+            negative = sign < 0.0
+            out[negative] = 1.0 + np.exp(log_p[negative])
+        return out
 
     return (a + b + x - 1.0) / (a - 1.0) / (1.0 + odds), horizon_factor
 

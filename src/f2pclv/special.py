@@ -8,6 +8,22 @@ outgrows double range, together with the standard 1-z connection formula
 near the singularity. The likelihoods never pass a negative z, and this
 module rejects one.
 
+The series sums its terms from the first, S = 2F1 - 1, and log 2F1 is
+log1p(S), so a 2F1 near 1 is never rounded against its leading 1. A row
+stops at a term below SERIES_TOL times min(1, |S|), relative to S where S is
+small, and S is completed by the remainder of a geometric series in the
+last term ratio: the BG/NBD horizon factor is 1 - P with P near 1 at short
+horizons or with its a near 1, and needs S to relative accuracy. Past the
+z = 0.9 switch, rows whose c is large against a and b still take the
+series, which has shrunk below SERIES_TOL within _SHORT_TERMS terms there.
+
+A parameter that holds one value for the whole call, such as a = 1 in every
+Pareto/NBD call or both numerator parameters of the BG/NBD horizon factor,
+stays a float: each pass adds n to it as a scalar, and only the inputs that
+vary by row are carried from pass to pass and compacted as rows converge.
+IEEE arithmetic rounds a float and an array element alike, so a row gets
+the same bits either way.
+
 Scoring one customer makes calls of one to a dozen rows, where the cost of
 a term is the interpreter's, not the arithmetic's. So each pass over the
 rows still summing adds a block of terms, up to _MAX_BLOCK and as many as
@@ -52,8 +68,10 @@ SERIES_TOL = 1e-12
 MAX_TERMS = 10_000
 
 # Above this the direct series converges too slowly; switch to the 1-z
-# connection formula.
+# connection formula, except on rows whose direct series has shrunk below
+# SERIES_TOL by term _SHORT_TERMS (see _direct_is_short).
 _Z_SWITCH = 0.9
+_SHORT_TERMS = 64
 
 # Machine-relative stop for sums whose magnitude dwarfs the absolute
 # tolerance.
@@ -82,6 +100,8 @@ _CHUNK_ROWS = 2**14
 
 def _dither_nonpositive_integer(c):
     """Shift c off non-positive integers where the series would divide by 0."""
+    if (np.asarray(c) > 1e-9).all():
+        return c
     near = (c <= 1e-9) & (np.abs(c - np.round(c)) < 1e-9)
     return np.where(near, c + 1e-9, c)
 
@@ -107,13 +127,20 @@ def _scan(op, carry, steps, out):
 
 
 def _series(a, b, c, z, max_terms, tangents=None):
-    """Direct power series as (log|sum|, sign, d log|sum|).
+    """Direct power series as (log|2F1|, sign, d log|2F1|).
 
-    The sum runs in linear space; a row whose partial sum passes _RESCALE
-    is scaled down by a power of two and the step counted, so sums beyond
-    double range need no second path. Each row stops at its own
+    The sum S of the terms from n = 1 runs in linear space, and log|2F1| is
+    log1p(S), so a 2F1 near 1 keeps the digits of S; once a row has stopped,
+    S is completed by a geometric estimate of the terms past its last one
+    (see the module docstring). A row whose S passes
+    _RESCALE is scaled down by a power of two and the step counted, so sums
+    beyond double range need no second path. Each row stops at its own
     convergence, so a row's value does not depend on the other rows in the
     call.
+
+    A parameter among a, b and c is an array with one value per row of z or
+    a scalar held for the whole call; only the arrays, and a scalar with a
+    tangent, are carried from pass to pass and compacted as rows converge.
 
     Each pass adds a block of up to _MAX_BLOCK terms to the rows still
     summing, as many as keep the block within _BLOCK_CELLS cells, or one
@@ -127,33 +154,47 @@ def _series(a, b, c, z, max_terms, tangents=None):
     where the rescaling ends it.
 
     With tangents (da, db, dc, dz), each (k, rows) or None for an input
-    held fixed, d log|sum| is (k, rows), else None. The partial derivatives
+    held fixed, d log|2F1| is (k, rows), else None. The partial derivatives
     along the inputs with a tangent are summed beside the value, as the
     module docstring describes; along z, n t_n / z is summed as (n+1) times
     term n times ratio_n.
     """
     c = _dither_nonpositive_integer(c)
-    total = np.ones_like(z)
-    # a row's sum is total * 2**(_STEP * steps)
-    steps = np.zeros_like(z)
-    m = q = 0
-    if tangents is not None:
-        coords = [i for i, t in enumerate(tangents) if t is not None]
-        poles = [i for i in coords if i < 3]
-        m, q = len(poles), len(coords)
-        if poles and poles[-1] - poles[0] == m - 1:
-            # a slice takes the shifted poles without a copy
-            poles = slice(poles[0], poles[-1] + 1)
+    params = (a, b, c)
+    coords = [] if tangents is None else [i for i, t in enumerate(tangents) if t is not None]
+    # a parameter that varies by row, or has a tangent, is carried as one
+    # value per row; any other stays a float, to which each pass adds n
+    carried = [i for i in range(3) if getattr(params[i], "ndim", 0) or i in coords]
+    fixed = [i for i in range(3) if i not in carried]
+    # where each of a+n, b+n and c+n is found: (0, j) for row j of the
+    # carried inputs' shift, (1, j) for the j-th fixed value plus n
+    source = [(0, carried.index(i)) if i in carried else (1, fixed.index(i)) for i in range(3)]
+    fixed_values = [float(params[i]) for i in fixed]
+    z_all = z
+    # a row's S is total * 2**(_STEP * steps); last holds its last checked
+    # term and that term's ratio, without z, to the one before
+    total, steps, *last = np.zeros((4, z.size))
+    poles = [carried.index(i) for i in coords if i < 3]
+    m, q = len(poles), len(coords)
+    if poles and poles[-1] - poles[0] == m - 1:
+        # a slice takes the shifted poles without a copy
+        poles = slice(poles[0], poles[-1] + 1)
+    if q:
         dtotal = np.zeros((q, z.size))
-    # the rows still summing: their inputs and what each carries into the
-    # next block (its term, its sum, the running sums of the poles'
-    # reciprocals and the partial derivatives of the sum, poles then z), each
-    # in one array that one take compacts
+    # the rows still summing: their carried inputs and z, and what each
+    # carries into the next block (its term, its sum, the running sums of the
+    # poles' reciprocals and the partial derivatives of the sum, poles then
+    # z), each in one array that one take compacts
     rows = np.arange(z.size)
-    inputs = np.array([a, b, c, z])
+    inputs = np.empty((len(carried) + 1, z.size))
+    for j, i in enumerate(carried):
+        inputs[j] = params[i]
+    inputs[-1] = z
     carry = np.zeros((2 + m + q, 1, 1))
-    carry[:2] = 1.0
+    # term 0 is 1; the sums start after it
+    carry[0] = 1.0
     n = 0
+    rescaled = False
     with np.errstate(over="ignore", invalid="ignore"):
         while n < max_terms:
             # the rows still summing changed
@@ -167,7 +208,7 @@ def _series(a, b, c, z, max_terms, tangents=None):
                 full = 1
             # one (1, rows) row per input, so that a block of one term needs
             # no broadcasting
-            abc, z = inputs[:3, None], inputs[3:]
+            carried_inputs, z = inputs[:-1, None], inputs[-1:]
             term, partial, recip, dpartial = carry[0], carry[1], carry[2 : 2 + m], carry[2 + m :]
             redo = 0
             while n < max_terms:
@@ -181,9 +222,12 @@ def _series(a, b, c, z, max_terms, tangents=None):
                 block_terms, block_sums, block_recip, block_dsums = block[0], block[1], block[2 : 2 + m], block[2 + m :]
                 k = n + _OFFSETS[:width] if width > 1 else float(n)
                 # a+n, b+n and c+n, which are also the poles
-                shift = np.add(abc, k)
-                ratio = np.multiply(shift[0], shift[1])
-                ratio /= np.multiply(shift[2], k + 1.0)
+                shift = np.add(carried_inputs, k) if carried else None
+                both = (shift, [v + k for v in fixed_values])
+                shifts = [both[side][j] for side, j in source]
+                ratio = np.multiply(shifts[2], k + 1.0)
+                # in place where c, and so the ratio, has a value per row
+                ratio = np.divide(np.multiply(shifts[0], shifts[1]), ratio, out=ratio if 2 in carried else None)
                 np.multiply(ratio, z, out=block_terms)
                 _scan(np.multiply, term, block_terms, block_terms)
                 _scan(np.add, partial, block_terms, block_sums)
@@ -194,7 +238,7 @@ def _series(a, b, c, z, max_terms, tangents=None):
                     if m < q:
                         # along z: (n+1) times term n times ratio_n
                         dz = block_dsums[m]
-                        np.multiply(term, ratio[:1], out=dz[:1])
+                        np.multiply(term, ratio if width == 1 else ratio[:1], out=dz[:1])
                         if width > 1:
                             np.multiply(block_terms[:-1], ratio[1:], out=dz[1:])
                         dz *= k + 1.0
@@ -221,7 +265,10 @@ def _series(a, b, c, z, max_terms, tangents=None):
                             v[big] = np.ldexp(v[big], -_STEP)
                         block_dsums[:, -1, big] = np.ldexp(block_dsums[:, -1, big], -_STEP)
                         steps[rows[big]] += 1.0
-                    done = np.abs(block_terms[at]) < SERIES_TOL + _REL_STOP * mag
+                        rescaled = True
+                    # SERIES_TOL relative to a sum S below 1: where 2F1 is
+                    # near 1 its callers need F - 1 to relative accuracy
+                    done = np.abs(block_terms[at]) <= SERIES_TOL * np.minimum(mag, 1.0) + _REL_STOP * mag
                     hit = done.any(axis=0) if len(done) > 1 else done[0]
                     if hit.any():
                         break
@@ -236,14 +283,31 @@ def _series(a, b, c, z, max_terms, tangents=None):
             check = done[:, finished].argmax(axis=0) if len(done) > 1 else 0
             at_rows = rows.take(finished)
             total[at_rows] = done_sums = block_sums[at][check, finished]
+            last[0][at_rows] = block_terms[at][check, finished]
+            last[1][at_rows] = (
+                ratio[at][check, finished if ratio.shape[-1] > 1 else 0] if isinstance(ratio, np.ndarray) else ratio
+            )
             if q:
-                dtotal[:, at_rows] = block_dsums[:, at][:, check, finished] / done_sums
+                # d log 2F1 = dS / (1 + S); a rescaled S is above 2**100, so
+                # adding 1 leaves it as it is
+                dtotal[:, at_rows] = block_dsums[:, at][:, check, finished] / (done_sums + 1.0)
             if finished.size == size:
+                # S is completed by the remainder past its last term t,
+                # estimated as a geometric series in t's ratio rho to the term
+                # before it: t rho / (1 - rho)
+                t, rho = last[0], last[1] * z_all
+                total += np.where(np.abs(rho) < 1.0, t * rho / (1.0 - rho), 0.0)
                 with np.errstate(divide="ignore"):
-                    log_f = np.log(np.abs(total)) + steps * (_STEP * np.log(2.0))
+                    log_f, sign = np.log1p(total), np.sign(total + 1.0)
+                    if total.min() < -1.0:
+                        # a 2F1 below 0
+                        negative = total < -1.0
+                        log_f[negative] = np.log(-1.0 - total[negative])
+                if rescaled:
+                    log_f += steps * (_STEP * np.log(2.0))
                 if tangents is None:
-                    return log_f, np.sign(total), None
-                return log_f, np.sign(total), _combine(
+                    return log_f, sign, None
+                return log_f, sign, _combine(
                     *((-d if i == 2 else d, tangents[i]) for d, i in zip(dtotal, coords))
                 )
             keep = (~hit).nonzero()[0]
@@ -252,8 +316,32 @@ def _series(a, b, c, z, max_terms, tangents=None):
             carry = block[:, -1:].take(keep, axis=2)
     raise NumericalError(
         "2F1 series did not converge within %d terms (max |z| = %.6g)"
-        % (max_terms, float(np.max(np.abs(inputs[3]))))
+        % (max_terms, float(np.max(np.abs(inputs[-1]))))
     )
+
+
+def _direct_is_short(a, b, c, z):
+    """Rows whose direct series stops within about _SHORT_TERMS terms: term
+    n = _SHORT_TERMS is below SERIES_TOL times min(1, |term 1|), and the term
+    ratio stays below 1 from n on.
+
+    A c large against a and b, as in a heavy buyer's BG/NBD cell, makes the
+    terms shrink fast whatever z; the connection formula would take gamma
+    ratios of large arguments there, whose rounding costs digits.
+    """
+    n = float(_SHORT_TERMS)
+    with np.errstate(all="ignore"):
+        # log |term n| = log |(a)_n (b)_n / ((c)_n n!)| + n log z
+        log_term = (
+            gammaln(a + n) - gammaln(a) + gammaln(b + n) - gammaln(b)
+            - gammaln(c + n) + gammaln(c) - gammaln(n + 1.0) + n * np.log(z)
+        )
+        log_first = np.minimum(np.log(np.abs(a * b / c * z)), 0.0)
+        # the ratio minus 1 has the sign of z (j+a)(j+b) - (j+c)(j+1), a
+        # parabola in j opening downwards whose vertex must lie before n
+        ratio = z * (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        vertex = (z * (a + b) - c - 1.0) / (2.0 * (1.0 - z))
+        return (log_term < np.log(SERIES_TOL) + log_first) & (np.abs(ratio) < 1.0) & (vertex <= n)
 
 
 def _log_gamma_ratio(tops, bottoms):
@@ -331,13 +419,17 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
     """
     scalar = all(np.ndim(v) == 0 for v in (a, b, c, z))
     a, b, c, z = (np.asarray(v, dtype=float) for v in (a, b, c, z))
-    shape = np.broadcast(a, b, c, z).shape
-    # an input of the broadcast shape, contiguous, is used as given
-    a, b, c, z = (
-        (v if v.shape == shape and v.flags.c_contiguous else np.full(shape, v)).reshape(-1) for v in (a, b, c, z)
-    )
-    if (z >= 1.0).any() or (z < 0.0).any():
+    # one pass; a comparison with NaN is false, so NaN fails it too
+    if not ((z >= 0.0) & (z < 1.0)).all():
         raise ValueError("2F1 evaluation requires 0 <= z < 1")
+    shape = np.broadcast(a, b, c, z).shape
+    # an input of the broadcast shape, contiguous, is used as given; a
+    # parameter holding one value for the whole call stays a scalar
+    z = (z if z.shape == shape and z.flags.c_contiguous else np.full(shape, z)).reshape(-1)
+    a, b, c = (
+        v.item() if v.size == 1 else (v if v.shape == shape and v.flags.c_contiguous else np.full(shape, v)).reshape(-1)
+        for v in (a, b, c)
+    )
     if tangents is not None:
         k = next(np.shape(t)[0] for t in tangents if t is not None)
         tangents = tuple(
@@ -351,6 +443,10 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
         chunk = slice(start, start + _CHUNK_ROWS)
         near = z[chunk] > _Z_SWITCH
         n_near = np.count_nonzero(near)
+        if n_near:
+            at = np.flatnonzero(near)
+            near[at] = ~_direct_is_short(*(v if isinstance(v, float) else v[chunk][at] for v in (a, b, c)), z[chunk][at])
+            n_near = np.count_nonzero(near)
         if n_near in (0, near.size):
             # every row on one side of the switch: no split
             parts = [(chunk, _connection_log if n_near else _series)]
@@ -358,7 +454,8 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
             parts = [(start + np.flatnonzero(~near), _series), (start + np.flatnonzero(near), _connection_log)]
         for rows, evaluate in parts:
             row_tangents = None if tangents is None else tuple(None if t is None else t[:, rows] for t in tangents)
-            log_f[rows], sign_f[rows], d = evaluate(a[rows], b[rows], c[rows], z[rows], max_terms, row_tangents)
+            a_rows, b_rows, c_rows = (v if isinstance(v, float) else v[rows] for v in (a, b, c))
+            log_f[rows], sign_f[rows], d = evaluate(a_rows, b_rows, c_rows, z[rows], max_terms, row_tangents)
             if d is not None:
                 dlog_f[:, rows] = d
     values = (float(sign_f[0]), float(log_f[0])) if scalar else (sign_f.reshape(shape), log_f.reshape(shape))

@@ -14,7 +14,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.special import digamma, gammaln
 
-from f2pclv import btyd
+from f2pclv import btyd, special
 from f2pclv.btyd import (
     BGNBDParams,
     GammaGammaParams,
@@ -415,6 +415,77 @@ class TestExpectedTransactions:
             reference = float((a + b + X - 1) / (a - 1) * growth / (1 + odds))
         got = expected_transactions(BGNBDParams(r, alpha, a, b), x, t_x, T, horizon)
         assert got == pytest.approx(reference, rel=1e-9)
+
+    # a < 1 and a > 1, with a + b - 1 - r of either sign; at a + b < 1 a
+    # zero-repeat customer's 2F1 turns negative as z grows
+    BG_FAR = [(0.4, 8.0, 0.8, 2.5), (0.25, 4.0, 0.3, 1.2), (1.3, 20.0, 1.6, 3.0), (0.9, 6.0, 3.5, 9.0), (0.4, 8.0, 0.3, 0.5)]
+    BG_NEAR_ONE = [(0.4, 8.0, 1.0 + d, 2.5) for d in (1e-7, -1e-7, 1e-6, -1e-6, 1e-5, 1e-3, -1e-3)]
+    # (x, t_x, T): zero-repeat customers, light and heavy buyers
+    BG_ROWS = [(0, 0.0, 30.0), (0, 0.0, 365.0), (1, 10.0, 30.0), (4, 200.0, 365.0), (30, 300.0, 365.0),
+               (300, 364.0, 365.0), (3000, 364.0, 365.0)]
+    # from 1 day to 100 years, so z runs from 0.0025 to 0.99
+    BG_HORIZONS = [1.0, 7.0, 90.0, 365.0, 3650.0, 36500.0]
+
+    @staticmethod
+    def _mp_bg_expected(r, alpha, a, b, x, t_x, T, h):
+        """BG/NBD conditional expected purchases in (T, T + h] in the direct
+        form of the closed form, in 40-digit mpmath."""
+        with mpmath.workdps(40):
+            r, alpha, a, b, x, t_x, T, h = (mpmath.mpf(v) for v in (r, alpha, a, b, x, t_x, T, h))
+            growth = 1 - ((alpha + T) / (alpha + T + h)) ** (r + x) * mpmath.hyp2f1(
+                r + x, b + x, a + b + x - 1, h / (alpha + T + h)
+            )
+            odds = a / (b + x - 1) * ((alpha + T) / (alpha + t_x)) ** (r + x) if x > 0 else 0
+            return (a + b + x - 1) / (a - 1) * growth / (1 + odds)
+
+    def _bg_errors(self, params_list):
+        """Relative errors of expected_transactions against mpmath over the
+        cases, with whether each cell's 2F1 is summed by the direct series."""
+        errors, direct = [], []
+        for params in params_list:
+            r, alpha, a, b = params
+            for x, t_x, T in self.BG_ROWS:
+                for h in self.BG_HORIZONS:
+                    value = expected_transactions(BGNBDParams(*params), x, t_x, T, h)
+                    reference = self._mp_bg_expected(r, alpha, a, b, x, t_x, T, h)
+                    errors.append(float(abs((value - reference) / reference)))
+                    z = h / (alpha + T + h)
+                    direct.append(z <= special._Z_SWITCH or bool(special._direct_is_short(a + b - 1 - r, a - 1, a + b + x - 1, z)))
+        return np.array(errors), np.array(direct)
+
+    def test_bg_horizon_family_matches_mpmath(self):
+        # 210 cases: 1-day horizons, zero-repeat customers, heavy buyers up
+        # to x = 3000 at z up to 0.99
+        errors, _ = self._bg_errors(self.BG_FAR)
+        assert errors.size == 210
+        assert errors.max() <= 1e-13
+
+    def test_bg_horizon_family_near_a_equal_one_matches_mpmath(self):
+        # 294 cases with 1e-7 <= |a - 1| <= 1e-3, where the closed form's
+        # factors (a+b+x-1)/(a-1) and 1 - P are both near their a = 1 limits
+        errors, direct = self._bg_errors(self.BG_NEAR_ONE)
+        assert errors.size == 294
+        assert errors[direct].max() <= 1e-12
+        # past z = 0.9 at small x the connection formula gives 2F1 - 1 only
+        # to about 1e-16 absolute, so 1 - P ~ 1e-7 keeps fewer digits
+        assert (~direct).any()
+        assert errors[~direct].max() <= 1e-8
+
+    def test_bg_discounted_clv_matches_mpmath(self):
+        _, spend = TestCLVComposition()._models()
+        n_periods, period = 12, 7.0
+        worst = 0.0
+        for params in self.BG_FAR + self.BG_NEAR_ONE[::3]:
+            x, t_x, T = (np.array(v, dtype=float) for v in zip(*self.BG_ROWS))
+            m = np.where(x > 0, 20.0, 0.0)
+            got = discounted_clv(BGNBDParams(*params), spend, summaries_from_arrays(x, t_x, T, m), n_periods * period, 0.01, period)
+            value = np.atleast_1d(conditional_expected_value(spend, x, m))
+            for i in range(x.size):
+                cumulative = [self._mp_bg_expected(*params, x[i], t_x[i], T[i], k * period) for k in range(n_periods + 1)]
+                reference = sum((cumulative[k] - cumulative[k - 1]) / mpmath.mpf(1.01) ** k for k in range(1, n_periods + 1))
+                reference *= value[i]
+                worst = max(worst, float(abs((got[i] - reference) / reference)))
+        assert worst <= 1e-13
 
     @pytest.mark.parametrize("s", [0.6, 1.0, 2.5])
     @pytest.mark.parametrize("horizon", [1e-4, 0.01, 1.0, 365.0])

@@ -158,6 +158,60 @@ def test_row_converging_on_its_last_allowed_term_does_not_depend_on_block_width(
     _assert_width_independent(a, b, c, z, max_terms=39, with_tangents=with_tangents)
 
 
+@pytest.mark.parametrize("n_rows", [40, 20_500])
+@pytest.mark.parametrize("with_tangents", [False, True], ids=["value", "tangents"])
+@pytest.mark.parametrize("constant", ["a", "c", "ab"])
+def test_call_constant_parameter_as_scalar_gives_the_same_bits(constant, with_tangents, n_rows):
+    # a parameter holding one value for the whole call is added to n as a
+    # float instead of carried as rows; IEEE arithmetic rounds the two alike
+    rng = np.random.default_rng(13)
+    z = np.concatenate([
+        rng.uniform(0.0, 0.9, 16),  # the direct series
+        rng.uniform(0.9001, 0.999, 12),  # the connection formula, or the
+        rng.uniform(0.55, 0.7, 12),  # direct series past 2**500, rescaled
+    ])
+    if constant == "a":  # as in every Pareto/NBD call
+        a = 1.0
+        b = np.concatenate([rng.uniform(0.5, 8.0, 28), rng.uniform(700.0, 900.0, 12)])
+        c = np.concatenate([b[:28] + rng.uniform(1.15, 2.85, 28), rng.uniform(2.0, 4.0, 12)])
+    elif constant == "c":
+        a = np.concatenate([rng.uniform(0.5, 3.0, 28), rng.uniform(20.0, 60.0, 12)])
+        b = np.concatenate([rng.uniform(0.5, 3.0, 28), rng.uniform(700.0, 900.0, 12)])
+        c = 7.3
+    else:  # as in the BG/NBD horizon factor, whose sums stay in range
+        a, b = 0.9, -0.2
+        # small c, and past z = 0.9 heavy buyers' large c, which keep the
+        # direct series
+        c = np.concatenate([rng.uniform(0.3, 5.0, 34), rng.uniform(300.0, 3000.0, 6)])
+        z = np.where(np.arange(40) >= 34, rng.uniform(0.9001, 0.99, 40), z)
+    # filler rows on both sides of the chunk boundary, so that the 40 rows
+    # straddle it
+    before = _CHUNK_ROWS - 20 if n_rows > 40 else 0
+    fill = n_rows - 40
+
+    def rows(v, low, high):
+        if np.ndim(v) == 0:
+            return v
+        filler = rng.uniform(low, high, fill)
+        return np.concatenate([filler[:before], v, filler[before:]])
+
+    a, b, c = rows(a, 0.5, 3.0), rows(b, 0.5, 3.0), rows(c, 4.0, 6.0)
+    z = rows(z, 0.0, 0.2)
+    expanded = [np.full(n_rows, v) if np.ndim(v) == 0 else v for v in (a, b, c)]
+    assert sum(np.ndim(v) == 0 for v in (a, b, c)) == len(constant)
+    kwargs = {}
+    if with_tangents:
+        # every input but a has a tangent, as in a Pareto/NBD fit; a
+        # constant c or b is carried with its tangent
+        kwargs["tangents"] = (None, *rng.normal(size=(3, 2, n_rows)))
+    scalar = log_hyp2f1(a, b, c, z, **kwargs)
+    full = log_hyp2f1(*expanded, z, **kwargs)
+    for s, f in zip(scalar, full):
+        assert np.array_equal(s, f)
+    if constant != "ab":
+        assert full[1].max() > 500 * np.log(2.0)
+
+
 def test_euler_identity_c_equals_b():
     # 2F1(a, b; b; z) = (1 - z)^(-a)
     rng = np.random.default_rng(3)
@@ -180,6 +234,8 @@ def test_domain_errors():
         hyp2f1(1.0, 1.0, 2.0, -0.95)
     with pytest.raises(ValueError):
         hyp2f1(1.0, 1.0, 2.0, -0.5)
+    with pytest.raises(ValueError):
+        log_hyp2f1(1.0, 2.0, 3.0, [0.5, np.nan])
 
 
 def test_nonconvergence_raises_with_diagnostic():
