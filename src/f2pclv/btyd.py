@@ -13,6 +13,7 @@ equal-length arrays for (frequency, recency, age).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -76,20 +77,29 @@ class FitResult:
 
 
 def _as_arrays(*values):
-    arrs = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+    arrs = [np.asarray(v, dtype=float) for v in values]
+    # a scalar as one row, as atleast_1d makes it but without its cost a call
+    arrs = [v if v.ndim else v.reshape(1) for v in arrs]
     if all(v.shape == arrs[0].shape for v in arrs[1:]):
         return arrs
     return np.broadcast_arrays(*arrs)
 
 
+def _all(mask):
+    """mask.all(), by the reduction that costs least on a one-customer call."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def _validate_summary(x, t_x, T):
-    # one pass; a comparison with NaN is false, so NaN fails it too
-    if not ((x >= 0) & (x < np.inf) & (t_x >= 0) & (t_x <= T) & (T < np.inf)).all():
+    # x and t_x >= 0, x and T < inf, t_x <= T; minimum and maximum pass a
+    # NaN on and a comparison with NaN is false, so NaN fails too
+    if not _all((np.minimum(x, t_x) >= 0.0) & (np.maximum(x, T) < np.inf) & (t_x <= T)):
         raise DataError("summaries must satisfy 0 <= recency <= age and frequency >= 0, all finite")
 
 
 def _scalar_like(out, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
+    # np.ndim would convert a Python number to an array to find its 0
+    if all(isinstance(v, (int, float)) or np.ndim(v) == 0 for v in inputs):
         return float(out[0])
     return out
 
@@ -248,12 +258,13 @@ def _bg_log_alive_dead(r, alpha, a, b, x, t_x, T):
     """(log_alive, log_dead): the BG/NBD likelihood of the history for a
     customer still alive at T and for one who dropped out at t_x, less the
     terms of _bg_log_base."""
-    log_alive = -(r + x) * np.log(alpha + T)
+    rx = r + x
+    log_alive = -rx * np.log(alpha + T)
     repeat = x > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_dead = np.where(
             repeat,
-            np.log(a) - np.log(np.where(repeat, b + x - 1.0, 1.0)) - (r + x) * np.log(alpha + t_x),
+            np.log(a) - np.log(np.where(repeat, b + x - 1.0, 1.0)) - rx * np.log(alpha + t_x),
             -np.inf,
         )
     return log_alive, log_dead
@@ -310,13 +321,14 @@ def _bg_expected_arrays(params, x, t_x, T):
     )
 
     def horizon_factor(x, T, h):
-        sign, log_f = log_hyp2f1(a + b - 1.0 - r, a - 1.0, a + b + x - 1.0, h / (alpha + T + h))
+        base = alpha + T
+        sign, log_f = log_hyp2f1(a + b - 1.0 - r, a - 1.0, a + b + x - 1.0, h / (base + h))
         # log P, with log(1-z) = -log1p(h/(alpha+T))
-        log_p = log_f - (a - 1.0) * np.log1p(h / (alpha + T))
+        log_p = log_f - (a - 1.0) * np.log1p(h / base)
         out = -np.expm1(log_p)
         # at a + b < 1 a zero-repeat customer's 2F1 can be negative
-        if sign.min() < 0.0:
-            negative = sign < 0.0
+        negative = sign < 0.0
+        if np.count_nonzero(negative):
             out[negative] = 1.0 + np.exp(log_p[negative])
         return out
 
@@ -370,15 +382,16 @@ def _expected_blocks(params, x, t_x, T, horizons):
     for start in range(0, x.size, block):
         rows = slice(start, start + block)
         grid = per_customer[rows, None] * horizon_factor(x[rows, None], T[rows, None], horizons)
-        if not np.all(np.isfinite(grid)):
+        if not _all(np.isfinite(grid)):
             raise NumericalError(f"non-finite expected transactions at params={params}")
         yield rows, np.maximum(grid, 0.0)
 
 
 def expected_transactions(params: ParetoNBDParams | BGNBDParams, frequency, recency, age, horizon: float):
     """Conditional expected repeat purchases in (T, T + horizon]."""
-    if horizon < 0:
-        raise DataError("horizon must be >= 0")
+    # a NaN fails every comparison
+    if not (horizon >= 0 and math.isfinite(horizon)):
+        raise DataError("horizon must be >= 0 and finite")
     x, t_x, T = _as_arrays(frequency, recency, age)
     _validate_summary(x, t_x, T)
     out = np.empty_like(x)
@@ -424,22 +437,26 @@ def gamma_gamma_loglik(params: GammaGammaParams, frequency, monetary_value):
     return _scalar_like(ll, frequency, monetary_value)
 
 
+def _expected_spend(params, x, m):
+    """conditional_expected_value of equal-length arrays."""
+    p, q, g = params.p, params.q, params.gamma
+    if q <= 1.0:
+        raise NumericalError("population mean spend requires q > 1")
+    if not _all(np.isfinite(x) & np.isfinite(m)):
+        raise DataError("conditional expected value requires finite frequency and monetary_value")
+    population_mean = p * g / (q - 1.0)
+    weight = p * x / (p * x + q - 1.0)
+    return (1.0 - weight) * population_mean + weight * m
+
+
 def conditional_expected_value(params: GammaGammaParams, frequency, monetary_value):
     """Expected per-transaction spend: shrinks the observed mean toward the
     population mean, with the weight on the observation growing with x.
 
     frequency = 0 rows get the population mean (no observed repeat spend).
     """
-    p, q, g = params.p, params.q, params.gamma
-    if q <= 1.0:
-        raise NumericalError("population mean spend requires q > 1")
     x, m = _as_arrays(frequency, monetary_value)
-    if not (np.isfinite(x) & np.isfinite(m)).all():
-        raise DataError("conditional expected value requires finite frequency and monetary_value")
-    population_mean = p * g / (q - 1.0)
-    weight = p * x / (p * x + q - 1.0)
-    out = (1.0 - weight) * population_mean + weight * m
-    return _scalar_like(out, frequency, monetary_value)
+    return _scalar_like(_expected_spend(params, x, m), frequency, monetary_value)
 
 
 # ---------------------------------------------------------------------------
@@ -628,23 +645,27 @@ def discounted_clv(
     calls under Pareto/NBD) is computed once, and the horizon factor (one
     2F1 call per block of customers under BG/NBD) once for all periods.
     """
-    if horizon < 0:
-        raise DataError("horizon must be >= 0")
-    if discount_rate < 0:
-        raise DataError("discount_rate must be >= 0")
-    if period <= 0:
-        raise DataError("period must be > 0")
+    # a NaN fails every comparison
+    if not (horizon >= 0 and math.isfinite(horizon)):
+        raise DataError("horizon must be >= 0 and finite")
+    if not (discount_rate >= 0 and math.isfinite(discount_rate)):
+        raise DataError("discount_rate must be >= 0 and finite")
+    if not (period > 0 and math.isfinite(period)):
+        raise DataError("period must be > 0 and finite")
     n_periods = horizon / period
     if abs(n_periods - round(n_periods)) > 1e-9:
         raise DataError("horizon must be a whole number of periods")
     k = np.arange(1, int(round(n_periods)) + 1, dtype=float)
     x, t_x, T, m = summary_arrays(summaries)
     _validate_summary(x, t_x, T)
-    value = np.atleast_1d(conditional_expected_value(spend_params, x, m))
+    value = _expected_spend(spend_params, x, m)
     discount = (1.0 + discount_rate) ** -k
-    clv = np.zeros_like(x)
+    clv = np.empty_like(x)
     for rows, cumulative in _expected_blocks(purchase_params, x, t_x, T, k * period):
-        clv[rows] = (np.diff(cumulative, axis=1, prepend=0.0) * discount).sum(axis=1)
+        # each period's increment, in place: numpy reads an operand that
+        # overlaps the output as it was before the write
+        cumulative[:, 1:] -= cumulative[:, :-1]
+        clv[rows] = (cumulative * discount).sum(axis=1)
     return clv * value
 
 
@@ -672,8 +693,9 @@ def expected_lifetime_duration(
     """
     if not 0.0 < threshold < 1.0:
         raise DataError("threshold must lie in (0, 1)")
-    if period <= 0:
-        raise DataError("period must be > 0")
+    # a NaN fails every comparison
+    if not (period > 0 and math.isfinite(period)):
+        raise DataError("period must be > 0 and finite")
     x, t_x, T = summary.frequency, summary.recency, summary.age
 
     def alive(k):

@@ -171,21 +171,27 @@ class RFMSummaries:
         return len(self) == len(other) and all(map(np.array_equal, self._columns(), other._columns()))
 
 
-def _summaries_of(summaries: RFMSummaries | Iterable[RFMSummary]) -> RFMSummaries:
-    """`summaries` itself if it is `RFMSummaries`, else the columns of a
-    sequence of `RFMSummary` rows, in its order."""
-    if isinstance(summaries, RFMSummaries):
-        return summaries
+def _row_columns(summaries: Iterable[RFMSummary]) -> list[list]:
+    """The columns of a sequence of `RFMSummary` rows, in its order, as lists
+    in the order of RFMSummaries' arguments."""
     rows = list(summaries)
     # a list per column, not a tuple per row: tuples are garbage the cyclic
     # collector tracks, and enough of them start a full collection
-    return RFMSummaries(
+    return [
         [s.customer_id for s in rows],
         [s.frequency for s in rows],
         [s.recency for s in rows],
         [s.age for s in rows],
         [s.monetary_value for s in rows],
-    )
+    ]
+
+
+def _summaries_of(summaries: RFMSummaries | Iterable[RFMSummary]) -> RFMSummaries:
+    """`summaries` itself if it is `RFMSummaries`, else the columns of a
+    sequence of `RFMSummary` rows, in its order."""
+    if isinstance(summaries, RFMSummaries):
+        return summaries
+    return RFMSummaries(*_row_columns(summaries))
 
 
 @dataclass(frozen=True)
@@ -473,8 +479,13 @@ def summary_arrays(summaries: RFMSummaries | Iterable[RFMSummary]):
     """(frequency, recency, age, monetary_value) as float arrays: the
     read-only columns of `RFMSummaries` themselves, or those of a sequence
     of `RFMSummary` rows, built once."""
-    s = _summaries_of(summaries)
-    return s.frequency, s.recency, s.age, s.monetary_value
+    if isinstance(summaries, RFMSummaries):
+        return summaries.frequency, summaries.recency, summaries.age, summaries.monetary_value
+    # one array, not the five of RFMSummaries: a one-customer request pays
+    # for each
+    columns = np.array(_row_columns(summaries)[1:], dtype=float)
+    columns.flags.writeable = False
+    return tuple(columns)
 
 
 SUMMARY_COLUMNS = ("customer_id", "frequency", "recency", "T", "monetary_value")

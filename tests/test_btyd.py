@@ -629,6 +629,33 @@ class TestNonFiniteSummaries:
                 call()
 
 
+class TestNonFiniteArguments:
+    """NaN and infinite scoring arguments are data errors naming the argument."""
+
+    SPEND = GammaGammaParams(6.0, 4.0, 15.0)
+
+    @pytest.mark.parametrize("params", TestNonFiniteSummaries.PURCHASE, ids=["pareto_nbd", "bg_nbd"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_scoring_entry_points(self, params, value):
+        summaries = summaries_from_arrays([3], [5.0], [20.0], [6.0])
+        calls = {
+            "horizon": [
+                lambda: expected_transactions(params, 3, 5.0, 20.0, value),
+                lambda: expected_transactions(params, [3.0, 0.0], [5.0, 0.0], [20.0, 20.0], value),
+                lambda: discounted_clv(params, self.SPEND, summaries, value, 0.01, period=7.0),
+            ],
+            "discount_rate": [lambda: discounted_clv(params, self.SPEND, summaries, 84.0, value, period=7.0)],
+            "period": [
+                lambda: discounted_clv(params, self.SPEND, summaries, 84.0, 0.01, period=value),
+                lambda: expected_lifetime_duration(params, summaries[0], threshold=0.5, period=value),
+            ],
+        }
+        for name, entry_points in calls.items():
+            for call in entry_points:
+                with pytest.raises(DataError, match=f"{name} must be .* and finite"):
+                    call()
+
+
 class TestFitting:
     def test_pareto_recovery_single_seed(self):
         config = SimConfig(
@@ -873,6 +900,30 @@ class TestCLVComposition:
                 expected_transactions(purchase, x[i], t_x[i], T[i], 90.0),
             )
             assert online == (batch[0][i], batch[1][i])
+
+    @pytest.mark.parametrize("purchase", FAMILIES, ids=["pareto_nbd", "bg_nbd"])
+    def test_one_customer_request_equals_batch(self, purchase):
+        # a request as a service makes it: an RFMSummary row, whose frequency
+        # is an int, its fields as Python numbers, and CLV over 12 weekly
+        # periods of a one-summary list
+        _, spend = self._models()
+        summaries = self._cohort(300)
+        x, t_x, T, _ = summary_arrays(summaries)
+        batch = (
+            p_alive(purchase, x, t_x, T),
+            expected_transactions(purchase, x, t_x, T, 90.0),
+            discounted_clv(purchase, spend, summaries, 84.0, 0.01, 7.0),
+        )
+        for i in range(len(summaries)):
+            s = summaries[i]
+            assert type(s.frequency) is int
+            online = (
+                p_alive(purchase, s.frequency, s.recency, s.age),
+                expected_transactions(purchase, s.frequency, s.recency, s.age, 90.0),
+                discounted_clv(purchase, spend, [s], 84.0, 0.01, 7.0)[0],
+            )
+            assert [type(v) for v in online[:2]] == [float, float]
+            assert online == tuple(b[i] for b in batch)
 
     def _count_2f1_calls(self, monkeypatch, *args, **kwargs):
         calls = []

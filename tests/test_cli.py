@@ -346,11 +346,18 @@ _PARAMS = "r=0.4,alpha=8,a=0.8,b=2.5"
         ("predict --artifact {ws}/bg.json --out {tmp}/pred.csv", 1, "--input"),
         ("segment --summaries {ws}/summaries.csv --artifact {ws}/bg.json --out-dir {tmp}/seg", 1, "--spend-artifact"),
         ("predict --artifact {ws}/ret.json --out {tmp}/pred.csv", 1, "--arpdau"),
+        ("predict --artifact {ws}/bg.json --input {ws}/summaries.csv --horizon nan --out {tmp}/pred.csv", 2, "horizon"),
+        (
+            "predict --artifact {ws}/bg.json --spend-artifact {ws}/gg.json --input {ws}/summaries.csv"
+            " --discount-rate nan --out {tmp}/pred.csv",
+            2,
+            "discount_rate",
+        ),
     ],
     ids=[
         "non_numeric_param", "unknown_param", "missing_spend_param", "invalid_param", "invalid_spend_param",
         "non_numeric_weight", "two_weights", "fit_without_input", "predict_without_input",
-        "segment_without_spend_artifact", "retention_predict_without_arpdau",
+        "segment_without_spend_artifact", "retention_predict_without_arpdau", "nan_horizon", "nan_discount_rate",
     ],
 )
 def test_bad_or_missing_flag_is_an_error_line_naming_it(workspace, tmp_path, capsys, command, code, flag):

@@ -251,6 +251,31 @@ def test_scalar_interface_returns_floats():
     assert isinstance(sign, float) and isinstance(log_f, float)
 
 
+def test_one_customer_shapes_equal_their_rows_in_a_chunked_call():
+    # the calls of a one-customer BG/NBD request, (a, b) = (a+b-1-r, a-1) at
+    # (r, a, b) = (0.4, 0.8, 2.5): c as a (1, 1) array and z of shape (1, 1)
+    # or (1, 12), and all inputs scalar; the same rows straddle the chunk
+    # boundary of a 20,500-row call, among rows on both sides of z = 0.9
+    a, b, c = 1.9, -0.2, 5.3
+    horizons = 7.0 * np.arange(1, 13)
+    z = horizons / (208.0 + horizons)
+    rng = np.random.default_rng(4)
+    n, at = 20_500, _CHUNK_ROWS - 6
+    c_rows, z_rows = rng.uniform(0.5, 300.0, n), rng.uniform(0.0, 0.99, n)
+    c_rows[at : at + 12], z_rows[at : at + 12] = c, z
+    sign, log_f = log_hyp2f1(a, b, c_rows, z_rows)
+    for width in (1, 12):
+        one = log_hyp2f1(a, b, np.array([[c]]), z[None, :width])
+        assert one[0].shape == one[1].shape == (1, width)
+        assert np.array_equal(one[0][0], sign[at : at + width])
+        assert np.array_equal(one[1][0], log_f[at : at + width])
+    scalar = log_hyp2f1(a, b, c, float(z[0]))
+    assert [type(v) for v in scalar] == [float, float]
+    assert scalar == (sign[at], log_f[at])
+    # no periods: no rows
+    assert [v.shape for v in log_hyp2f1(a, b, np.array([[c]]), np.empty((1, 0)))] == [(1, 0), (1, 0)]
+
+
 def test_tangents_match_mpmath_directional_derivatives():
     # two random directions through the direct series and, past z = 0.9,
     # the connection formula; b is held fixed, which a None tangent says
