@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -22,18 +23,6 @@ from .markov import RewardVector, StateSpace, TransitionMatrix
 from .supervised import ThreeStageModel
 
 SCHEMA_VERSION = 1
-
-MODEL_KINDS = (
-    "basic",
-    "retention",
-    "monetization",
-    "pareto_nbd",
-    "bg_nbd",
-    "gamma_gamma",
-    "markov",
-    "forest",
-    "three_stage",
-)
 
 
 @dataclass
@@ -70,8 +59,13 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
 
 
 def load_artifact(path) -> ModelArtifact:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as e:
+        raise DataError(f"{path} is not a JSON artifact: {e}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path} is not a model artifact")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(
@@ -80,6 +74,8 @@ def load_artifact(path) -> ModelArtifact:
     kind = raw.get("model_kind")
     if kind not in MODEL_KINDS:
         raise DataError(f"unknown model_kind {kind!r} in {path}")
+    if not isinstance(raw.get("parameters"), dict):
+        raise DataError(f"{path} holds no parameters object")
     return ModelArtifact(
         model_kind=kind,
         parameters=raw["parameters"],
@@ -92,86 +88,74 @@ def load_artifact(path) -> ModelArtifact:
 # model <-> parameter-blob conversion
 
 
-def _forest_from_blob(blob: dict) -> FittedForest:
-    return FittedForest(
-        config=ForestConfig(**blob["config"]),
-        trees=blob["trees"],
-        tree_seeds=blob["tree_seeds"],
-        classifier=blob["classifier"],
-        n_features=blob["n_features"],
-    )
+def _of(cls, blob: dict, **nested):
+    """An instance of the dataclass `cls` from the blob's entries for its
+    fields, each passed through its converter in `nested` if it has one.
+    Other entries, such as fit info, are ignored."""
+    values = {f.name: blob[f.name] for f in fields(cls)}
+    for name, convert in nested.items():
+        values[name] = convert(values[name])
+    return cls(**values)
 
 
-# Kinds whose model is one flat dataclass, stored as its fields.
-_DATACLASS_KINDS = {
-    "basic": BasicCLVConfig,
-    "pareto_nbd": ParetoNBDParams,
-    "bg_nbd": BGNBDParams,
-    "gamma_gamma": GammaGammaParams,
+def _forest(blob: dict) -> FittedForest:
+    return _of(FittedForest, blob, config=partial(_of, ForestConfig))
+
+
+def _markov_blob(model) -> dict:
+    transitions, rewards = model
+    return {
+        "labels": list(transitions.space.labels),
+        "churn_index": transitions.space.churn_index,
+        "matrix": transitions.matrix.tolist(),
+        "rewards": rewards.values.tolist(),
+    }
+
+
+def _markov(blob: dict):
+    space = StateSpace(labels=tuple(blob["labels"]), churn_index=blob["churn_index"])
+    transitions = TransitionMatrix(space=space, matrix=np.array(blob["matrix"]))
+    return transitions, RewardVector(space=space, values=np.array(blob["rewards"]))
+
+
+# model_kind -> (model -> parameter blob, parameter blob -> model). Every
+# model but the Markov (transitions, rewards) pair is a dataclass stored as
+# its fields. A three-stage count forest is null when it was fitted without
+# purchase counts; older artifacts hold a forest of constant 1 there instead,
+# which scales predictions by exactly 1.0.
+_KINDS = {
+    "basic": (asdict, partial(_of, BasicCLVConfig)),
+    "retention": (asdict, partial(_of, RetentionCurve, steps=lambda steps: [tuple(step) for step in steps])),
+    "monetization": (asdict, partial(_of, MonetizationCurve)),
+    "pareto_nbd": (asdict, partial(_of, ParetoNBDParams)),
+    "bg_nbd": (asdict, partial(_of, BGNBDParams)),
+    "gamma_gamma": (asdict, partial(_of, GammaGammaParams)),
+    "markov": (_markov_blob, _markov),
+    "forest": (asdict, _forest),
+    "three_stage": (asdict, partial(
+        _of, ThreeStageModel, payer_classifier=_forest, value_forest=_forest,
+        count_forest=lambda blob: None if blob is None else _forest(blob),
+    )),
 }
+MODEL_KINDS = tuple(_KINDS)
 
 
 def model_to_parameters(kind: str, model, fit_info: dict | None = None) -> dict:
     """Serialize a fitted model of the given kind to a JSON-safe dict."""
-    info = dict(fit_info or {})
-    if kind in _DATACLASS_KINDS or kind in ("forest", "three_stage"):
-        return {**asdict(model), **info}
-    if kind == "retention":
-        return {
-            "family": model.family,
-            "k": model.k,
-            "steps": [[float(t), float(s)] for t, s in model.steps],
-            "rss": model.rss,
-            **info,
-        }
-    if kind == "monetization":
-        return {
-            "knot_days": [float(v) for v in model.knot_days],
-            "knot_fractions": [float(v) for v in model.knot_fractions],
-            **info,
-        }
-    if kind == "markov":
-        transitions, rewards = model
-        return {
-            "labels": list(transitions.space.labels),
-            "churn_index": transitions.space.churn_index,
-            "matrix": transitions.matrix.tolist(),
-            "rewards": rewards.values.tolist(),
-            **info,
-        }
-    raise DataError(f"unknown model_kind {kind!r}")
+    if kind not in _KINDS:
+        raise DataError(f"unknown model_kind {kind!r}")
+    return {**_KINDS[kind][0](model), **(fit_info or {})}
 
 
 def model_from_artifact(artifact: ModelArtifact):
-    """Rebuild the in-memory model object(s) from an artifact."""
-    p = artifact.parameters
+    """Rebuild the in-memory model object(s) from an artifact. A missing or
+    malformed parameter is a DataError naming the kind."""
     kind = artifact.model_kind
-    if kind in _DATACLASS_KINDS:
-        cls = _DATACLASS_KINDS[kind]
-        return cls(**{f.name: p[f.name] for f in fields(cls)})
-    if kind == "retention":
-        return RetentionCurve(
-            family=p["family"],
-            k=p["k"],
-            steps=[(t, s) for t, s in p["steps"]],
-            rss=p["rss"],
-        )
-    if kind == "monetization":
-        return MonetizationCurve(knot_days=p["knot_days"], knot_fractions=p["knot_fractions"])
-    if kind == "markov":
-        space = StateSpace(labels=tuple(p["labels"]), churn_index=p["churn_index"])
-        transitions = TransitionMatrix(space=space, matrix=np.array(p["matrix"]))
-        rewards = RewardVector(space=space, values=np.array(p["rewards"]))
-        return transitions, rewards
-    if kind == "forest":
-        return _forest_from_blob(p)
-    if kind == "three_stage":
-        # null without purchase counts; older artifacts hold a forest of
-        # constant 1 there instead, which scales predictions by exactly 1.0
-        count_forest = p["count_forest"] and _forest_from_blob(p["count_forest"])
-        return ThreeStageModel(
-            payer_classifier=_forest_from_blob(p["payer_classifier"]),
-            count_forest=count_forest,
-            value_forest=_forest_from_blob(p["value_forest"]),
-        )
-    raise DataError(f"unknown model_kind {kind!r}")
+    if kind not in _KINDS:
+        raise DataError(f"unknown model_kind {kind!r}")
+    try:
+        return _KINDS[kind][1](artifact.parameters)
+    except KeyError as e:
+        raise DataError(f"{kind} artifact lacks parameter {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{kind} artifact: {e}") from None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -222,6 +223,7 @@ def cmd_fit(args):
         _require(args, "--input")
     out = Path(args.out)
     metadata = art.build_metadata(seed=args.seed, data_path=args.input if args.input else None)
+    info = None
     if args.model in ("pareto_nbd", "bg_nbd", "gamma_gamma"):
         summaries = read_summary_csv(args.input)
         if args.model == "gamma_gamma" and args.payers_only:
@@ -232,6 +234,7 @@ def cmd_fit(args):
             "gamma_gamma": btyd.fit_gamma_gamma,
         }[args.model]
         result = fit_fn(summaries, penalizer=args.penalizer, seed=args.seed)
+        model = result.params
         info = {
             "nll": result.nll,
             "n_evaluations": result.n_evaluations,
@@ -240,39 +243,34 @@ def cmd_fit(args):
             "converged": result.converged,
             "penalizer": result.penalizer,
         }
-        params = art.model_to_parameters(args.model, result.params, info)
         print(
             f"{args.model}: nll={result.nll:.6f} evaluations={result.n_evaluations} "
             f"starts={result.n_starts} converged={result.converged}"
         )
     elif args.model == "basic":
-        config = cohort.BasicCLVConfig(
+        model = cohort.BasicCLVConfig(
             gross_margin=args.gc,
             promotion_cost=args.promotion,
             n_periods=args.periods,
             retention=args.retention,
             discount_rate=args.discount_rate,
         )
-        params = art.model_to_parameters("basic", config)
-        print(f"basic: clv={cohort.basic_clv(config):.6f}")
+        print(f"basic: clv={cohort.basic_clv(model):.6f}")
     elif args.model == "retention":
         points = _read_curve_csv(args.input)
-        curve = cohort.fit_retention_curve(points, family=args.family)
-        params = art.model_to_parameters("retention", curve)
-        print(f"retention[{args.family}]: k={curve.k:.8f} rss={curve.rss:.8f}")
+        model = cohort.fit_retention_curve(points, family=args.family)
+        print(f"retention[{args.family}]: k={model.k:.8f} rss={model.rss:.8f}")
     elif args.model == "monetization":
         points = _read_curve_csv(args.input)
-        curve = cohort.fit_monetization_curve(points)
-        params = art.model_to_parameters("monetization", curve)
-        print(f"monetization: {len(curve.knot_days)} knots")
+        model = cohort.fit_monetization_curve(points)
+        print(f"monetization: {len(model.knot_days)} knots")
     elif args.model == "markov":
         log = _load_log(args.input)
         _, histories = markov.histories_from_log(log, args.period_days)
         space = markov.StateSpace.recency_cells(args.recency_cells)
         sequences = markov.discretize_states([h > 0 for h in histories], space)
         transitions = markov.learn_transition_matrix(sequences, space)
-        rewards = markov.estimate_state_rewards(sequences, histories, space)
-        params = art.model_to_parameters("markov", (transitions, rewards))
+        model = (transitions, markov.estimate_state_rewards(sequences, histories, space))
         print(f"markov: {space.n_states} states over {len(sequences)} customers")
     elif args.model in ("forest", "three_stage"):
         dataset = supervised.read_feature_csv(args.input)
@@ -294,7 +292,7 @@ def cmd_fit(args):
             model = supervised.fit_three_stage(x, y, purchase_counts=counts, config=config)
             pred = supervised.predict_three_stage(model, x)
             print(f"three_stage: train mse={np.mean((pred - y) ** 2):.6f}")
-        params = art.model_to_parameters(args.model, model)
+    params = art.model_to_parameters(args.model, model, info)
     artifact = art.ModelArtifact(model_kind=args.model, parameters=params, metadata=metadata)
     art.save_artifact(artifact, out)
     print(f"saved {args.model} artifact to {out}")
@@ -306,6 +304,8 @@ def _read_curve_csv(path):
 
 
 def cmd_predict(args):
+    if not math.isfinite(args.horizon):
+        raise DataError(f"--horizon must be finite, got {args.horizon}")
     artifact = art.load_artifact(args.artifact)
     model = art.model_from_artifact(artifact)
     kind = artifact.model_kind

@@ -7,6 +7,7 @@ btyd and markov modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -149,8 +150,10 @@ def kaplan_meier(durations: Sequence[tuple[float, bool]]) -> RetentionCurve:
 
 def retention_clv(arpdau: float, curve: RetentionCurve, n_days: int) -> float:
     """sum_{i=0..n} ARPDAU * ret(i): expected per-user revenue to day n."""
-    if arpdau < 0 or n_days < 0:
-        raise DataError("arpdau and n_days must be >= 0")
+    if not (arpdau >= 0 and math.isfinite(arpdau)):
+        raise DataError("arpdau must be >= 0 and finite")
+    if not (n_days >= 0 and math.isfinite(n_days)):
+        raise DataError("n_days must be >= 0 and finite")
     days = np.arange(0, n_days + 1)
     return float(arpdau * np.sum(curve.ret(days)))
 
@@ -190,6 +193,8 @@ def fit_monetization_curve(points: Sequence[tuple[float, float]]) -> Monetizatio
 def monetization_clv(revenue_to_date, curve: MonetizationCurve, n_days: float):
     """revenue so far, a float or an array of them, divided by the fraction
     of revenue typically earned by day n. Zero revenue projects to exactly 0."""
+    if not math.isfinite(n_days):
+        raise DataError(f"n_days must be finite, got {n_days}")
     frac = curve.mon(n_days)
     if frac <= MON_FLOOR:
         raise NumericalError(f"mon({n_days}) = {frac:g} is at the division floor")

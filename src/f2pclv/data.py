@@ -459,6 +459,8 @@ def rfm_summary(log: TransactionLog, observation_end: float) -> RFMSummaries:
     Purchases tied on a customer's earliest timestamp keep log order: the
     first of them in the log is the first purchase.
     """
+    if not math.isfinite(observation_end):
+        raise DataError(f"observation_end must be finite, got {observation_end}")
     ids, [(codes, times)], first = _group_by_customer(log.records)
     late = np.flatnonzero(times > observation_end)
     if len(late):
@@ -503,6 +505,8 @@ def read_summary_csv(path) -> RFMSummaries:
 
 def split_calibration_holdout(log: TransactionLog, cutoff: float) -> tuple[TransactionLog, TransactionLog]:
     """Records before the cutoff vs. from the cutoff on; union is the input."""
+    if not math.isfinite(cutoff):
+        raise DataError(f"cutoff must be finite, got {cutoff}")
     early_records = log.records.times < cutoff
     early_events = log.events.times < cutoff
     cal = TransactionLog(records=log.records.take(early_records), events=log.events.take(early_events))

@@ -9,6 +9,7 @@ cell is churn, which is absorbing (lost-for-good).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -203,14 +204,16 @@ def mcm_clv(
     """
     if transitions.space != rewards.space:
         raise DataError("transition matrix and rewards use different state spaces")
+    if not math.isfinite(discount_rate):
+        raise DataError("discount_rate must be finite")
     p = transitions.matrix
     r = rewards.values
     if horizon is None:
         if discount_rate <= 0:
             raise DataError("infinite-horizon valuation requires discount_rate > 0")
         return np.linalg.solve(np.eye(len(r)) - p / (1.0 + discount_rate), r)
-    if horizon < 0:
-        raise DataError("horizon must be >= 0")
+    if not (horizon >= 0 and math.isfinite(horizon)):
+        raise DataError("horizon must be >= 0 and finite")
     v = r.copy()
     for _ in range(horizon):
         v = r + p @ v / (1.0 + discount_rate)

@@ -6,9 +6,11 @@ criteria print their own timing lines as well.
 
 import csv
 import itertools
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,11 +457,16 @@ def test_c10_persistence_round_trip_bit_for_bit(tmp_path):
 
 
 def test_c11_end_to_end_cli_demo(tmp_path):
+    # the subprocesses import the package under test, not whatever else is on the path
+    src = str(Path(art.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(*args):
         result = subprocess.run(
             [sys.executable, "-m", "f2pclv.cli", *args],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr
         return result.stdout

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from f2pclv import artifacts as art
-from f2pclv import btyd
+from f2pclv import btyd, markov
 from f2pclv.cli import main
 from f2pclv.data import (
     parse_transaction_log,
@@ -47,6 +47,21 @@ def workspace(tmp_path_factory):
         art.ModelArtifact(model_kind="retention", parameters={"family": "power_law", "k": 0.5, "steps": [], "rss": 0.0}),
         root / "ret.json",
     )
+    mon = {"knot_days": [0.0, 10.0], "knot_fractions": [0.5, 1.0]}
+    art.save_artifact(art.ModelArtifact(model_kind="monetization", parameters=mon), root / "mon.json")
+    (root / "revenue.csv").write_text("customer_id,revenue\nc1,5.0\n")
+    space = markov.StateSpace(labels=("active", "churn"), churn_index=1)
+    chain = (
+        markov.TransitionMatrix(space, np.array([[0.8, 0.2], [0.0, 1.0]])),
+        markov.RewardVector(space, np.array([10.0, 0.0])),
+    )
+    art.save_artifact(art.ModelArtifact("markov", art.model_to_parameters("markov", chain)), root / "markov.json")
+    # malformed artifacts: not JSON, a missing parameter, a parameter of the wrong type
+    (root / "not_json.json").write_text("{not json")
+    for name, edit in (("no_alpha", lambda p: p.pop("alpha")), ("text_r", lambda p: p.update(r="x"))):
+        blob = json.loads((root / "bg.json").read_text())
+        edit(blob["parameters"])
+        (root / f"bg_{name}.json").write_text(json.dumps(blob))
     return root
 
 
@@ -353,11 +368,29 @@ _PARAMS = "r=0.4,alpha=8,a=0.8,b=2.5"
             2,
             "discount_rate",
         ),
+        ("predict --artifact {ws}/ret.json --arpdau 1 --horizon nan --out {tmp}/pred.csv", 2, "horizon"),
+        ("predict --artifact {ws}/ret.json --arpdau 1 --horizon inf --out {tmp}/pred.csv", 2, "horizon"),
+        ("predict --artifact {ws}/ret.json --arpdau nan --out {tmp}/pred.csv", 2, "arpdau"),
+        ("predict --artifact {ws}/markov.json --horizon nan --out {tmp}/pred.csv", 2, "horizon"),
+        ("predict --artifact {ws}/markov.json --horizon inf --out {tmp}/pred.csv", 2, "horizon"),
+        ("predict --artifact {ws}/markov.json --discount-rate nan --out {tmp}/pred.csv", 2, "discount_rate"),
+        ("predict --artifact {ws}/markov.json --infinite --discount-rate nan --out {tmp}/pred.csv", 2, "discount_rate"),
+        ("predict --artifact {ws}/mon.json --input {ws}/revenue.csv --horizon nan --out {tmp}/pred.csv", 2, "horizon"),
+        ("predict --artifact {ws}/not_json.json --out {tmp}/pred.csv", 2, "not_json.json"),
+        ("predict --artifact {ws}/bg_no_alpha.json --input {ws}/summaries.csv --out {tmp}/pred.csv", 2, "'alpha'"),
+        ("predict --artifact {ws}/bg_text_r.json --input {ws}/summaries.csv --out {tmp}/pred.csv", 2, "bg_nbd"),
+        ("summarize --transactions {ws}/sim/transactions.csv --observation-end nan --out {tmp}/s.csv", 2, "observation_end"),
+        ("summarize --transactions {ws}/sim/transactions.csv --observation-end inf --out {tmp}/s.csv", 2, "observation_end"),
+        ("split --transactions {ws}/sim/transactions.csv --cutoff nan --out-dir {tmp}/split", 2, "cutoff"),
     ],
     ids=[
         "non_numeric_param", "unknown_param", "missing_spend_param", "invalid_param", "invalid_spend_param",
         "non_numeric_weight", "two_weights", "fit_without_input", "predict_without_input",
         "segment_without_spend_artifact", "retention_predict_without_arpdau", "nan_horizon", "nan_discount_rate",
+        "retention_nan_horizon", "retention_inf_horizon", "retention_nan_arpdau", "markov_nan_horizon",
+        "markov_inf_horizon", "markov_nan_discount_rate", "markov_infinite_nan_discount_rate",
+        "monetization_nan_horizon", "artifact_not_json", "artifact_missing_parameter", "artifact_text_parameter",
+        "nan_observation_end", "inf_observation_end", "nan_cutoff",
     ],
 )
 def test_bad_or_missing_flag_is_an_error_line_naming_it(workspace, tmp_path, capsys, command, code, flag):

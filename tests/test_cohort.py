@@ -169,6 +169,15 @@ class TestRetentionCLV:
         values = [retention_clv(0.3, curve, n) for n in range(0, 40, 3)]
         assert np.all(np.diff(values) >= 0)
 
+    @pytest.mark.parametrize(
+        "arpdau, n_days, message",
+        [(float("nan"), 30, "arpdau"), (float("inf"), 30, "arpdau"), (1.0, float("inf"), "n_days"), (1.0, -1, "n_days")],
+    )
+    def test_non_finite_or_negative_input_is_a_data_error(self, arpdau, n_days, message):
+        curve = fit_retention_curve([(0.0, 1.0), (1.0, 1.0)], "exponential")
+        with pytest.raises(DataError, match=f"{message} must be >= 0 and finite"):
+            retention_clv(arpdau, curve, n_days)
+
 
 class TestMonetization:
     def test_interpolation_identity_at_knots(self):
@@ -205,6 +214,12 @@ class TestMonetization:
         curve = MonetizationCurve(knot_days=[0.0, 10.0], knot_fractions=[1e-12, 1.0])
         with pytest.raises(NumericalError):
             monetization_clv(5.0, curve, 0.0)
+
+    @pytest.mark.parametrize("day", [float("nan"), float("inf")])
+    def test_non_finite_day_is_a_data_error(self, day):
+        curve = fit_monetization_curve([(2.0, 0.25), (8.0, 1.0)])
+        with pytest.raises(DataError, match=f"n_days must be finite, got {day}"):
+            monetization_clv(10.0, curve, day)
 
     def test_simulated_cohort_curve_matches_empirical(self):
         config = SimConfig(

@@ -227,6 +227,12 @@ class TestRFMSummary:
         with pytest.raises(DataError):
             rfm_summary(log, 4.0)
 
+    @pytest.mark.parametrize("end", [float("nan"), float("inf")])
+    def test_non_finite_observation_end_is_a_data_error(self, end):
+        log = TransactionLog(records=[Transaction("a", 5.0, 1.0)])
+        with pytest.raises(DataError, match=f"observation_end must be finite, got {end}"):
+            rfm_summary(log, end)
+
     def test_permutation_invariance(self):
         rng = random.Random(4)
         records = [
@@ -413,6 +419,11 @@ class TestSplit:
             assert sorted([*cal.records, *hold.records], key=lambda r: r.timestamp) == list(log.records)
             assert all(r.timestamp < cutoff for r in cal.records)
             assert all(r.timestamp >= cutoff for r in hold.records)
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cutoff_is_a_data_error(self, cutoff):
+        with pytest.raises(DataError, match=f"cutoff must be finite, got {cutoff}"):
+            split_calibration_holdout(self._log(), cutoff)
 
 
 class TestCurves:

@@ -211,6 +211,17 @@ class TestValuation:
         with pytest.raises(DataError):
             mcm_clv(p, r, 0.0, horizon=None)
 
+    @pytest.mark.parametrize("horizon", [None, 12])
+    def test_non_finite_discount_rate_is_a_data_error(self, horizon):
+        p, r = self._identity()
+        with pytest.raises(DataError, match="discount_rate must be finite"):
+            mcm_clv(p, r, float("nan"), horizon=horizon)
+
+    def test_infinite_horizon_count_is_a_data_error(self):
+        p, r = self._identity()
+        with pytest.raises(DataError, match="horizon must be >= 0 and finite"):
+            mcm_clv(p, r, 0.1, horizon=float("inf"))
+
 
 class TestRecencyMigration:
     def test_single_cell_first_period(self):
