@@ -471,18 +471,27 @@ def _distinct_rows(*columns):
     for the same age is one row), so fits evaluate each distinct row once
     and weight it by its count.
     """
-    rows, inverse, counts = np.unique(
-        np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
-    )
-    return tuple(rows.T), counts.astype(float), inverse.ravel()
+    # one lexsort, first column as the primary key: the row order of an
+    # axis-0 unique, without its sort of void-viewed rows
+    order = np.lexsort(columns[::-1])
+    sorted_cols = [c[order] for c in columns]
+    new_row = np.empty(order.size, dtype=bool)
+    new_row[:1] = True
+    new_row[1:] = np.any([c[1:] != c[:-1] for c in sorted_cols], axis=0)
+    starts = np.flatnonzero(new_row)
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new_row) - 1
+    counts = np.diff(np.append(starts, order.size))
+    return tuple(c[starts] for c in sorted_cols), counts.astype(float), inverse
 
 
 def _fit(loglik_fn, n_customers, x0, penalizer, restarts, seed, builder):
     """Maximize loglik_fn(params), which returns the cohort's total
     log-likelihood and its gradient in the log-parameters. The optimizer sees
     the penalized NLL per customer; FitResult.nll is the total."""
-    if penalizer < 0:
-        raise DataError("penalizer must be >= 0")
+    # a NaN fails every comparison
+    if not (penalizer >= 0 and math.isfinite(penalizer)):
+        raise DataError(f"penalizer must be >= 0 and finite, got {penalizer}")
 
     def objective(theta):
         vec = np.exp(theta)
@@ -514,7 +523,14 @@ def fit_pareto_nbd(
     seed: int = 0,
     initial: ParetoNBDParams | None = None,
 ) -> FitResult:
-    """Maximum-likelihood Pareto/NBD fit of a cohort of RFM summaries."""
+    """Maximum-likelihood Pareto/NBD fit of a cohort of RFM summaries.
+
+    Without `initial`, the fit starts at r = s = 1 and alpha = beta =
+    1/mean_rate, with mean_rate = (mean x + 0.5) / (mean T + 1). At
+    alpha = beta every 2F1 row of the likelihood has z = 0 and stops at its
+    first term; a start with beta far from alpha sends the first steps
+    through rows near and past z = 0.9, which cost the most.
+    """
     if not summaries:
         raise DataError("no summaries to fit")
     x, t_x, T, _ = summary_arrays(summaries)
@@ -525,7 +541,7 @@ def fit_pareto_nbd(
         x0 = np.array([initial.r, initial.alpha, initial.s, initial.beta])
     else:
         mean_rate = (x.mean() + 0.5) / (T.mean() + 1.0)
-        x0 = np.array([1.0, 1.0 / mean_rate, 1.0, T.mean()])
+        x0 = np.array([1.0, 1.0 / mean_rate, 1.0, 1.0 / mean_rate])
 
     (x, t_x, T), counts, _ = _distinct_rows(x, t_x, T)
     # the tail term depends on (x, t) alone: evaluate it once per distinct

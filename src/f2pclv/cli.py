@@ -429,11 +429,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="f2pclv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--period-days", type=float, default=1.0)
+    # each shared option goes only to the subcommands that read it
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    periodic = argparse.ArgumentParser(add_help=False)
+    periodic.add_argument("--period-days", type=float, default=1.0)
 
-    p = sub.add_parser("ingest", parents=[common], help="parse and normalize raw logs")
+    p = sub.add_parser("ingest", help="parse and normalize raw logs")
     p.add_argument("--transactions")
     p.add_argument("--events")
     p.add_argument("--customer-col", default="customer_id")
@@ -445,7 +447,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("summarize", parents=[common], help="RFM summaries, features, or cohort curves")
+    p = sub.add_parser("summarize", help="RFM summaries, features, or cohort curves")
     p.add_argument("--kind", choices=("rfm", "features", "retention", "monetization"), default="rfm")
     p.add_argument("--transactions", required=True)
     p.add_argument("--events")
@@ -457,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("split", parents=[common], help="calibration/holdout split at a cutoff day")
+    p = sub.add_parser("split", help="calibration/holdout split at a cutoff day")
     p.add_argument("--transactions", required=True)
     p.add_argument("--events")
     p.add_argument("--iso-dates", action="store_true")
@@ -465,7 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("simulate", parents=[common], help="generate a synthetic cohort")
+    p = sub.add_parser("simulate", parents=[seeded], help="generate a synthetic cohort")
     p.add_argument("--model", choices=tuple(_SIMULATORS), required=True)
     p.add_argument("--n-customers", type=int, required=True)
     p.add_argument("--days", type=float, required=True)
@@ -478,7 +480,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common], help="fit a model and save an artifact")
+    p = sub.add_parser("fit", parents=[seeded, periodic], help="fit a model and save an artifact")
     p.add_argument("--model", required=True, choices=art.MODEL_KINDS)
     p.add_argument("--input")
     p.add_argument("--out", required=True)
@@ -498,7 +500,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smote-ratio", type=float)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", parents=[common], help="apply a saved artifact to new data")
+    p = sub.add_parser("predict", parents=[periodic], help="apply a saved artifact to new data")
     p.add_argument("--artifact", required=True)
     p.add_argument("--spend-artifact")
     p.add_argument("--input")
@@ -509,7 +511,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", parents=[common], help="k-fold cross-validation of a supervised model")
+    p = sub.add_parser("evaluate", parents=[seeded], help="k-fold cross-validation of a supervised model")
     p.add_argument("--input", required=True)
     p.add_argument("--model", choices=("forest", "three_stage"), default="forest")
     p.add_argument("--folds", type=int, default=10)
@@ -521,7 +523,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("segment", parents=[common], help="RFM quintiles, weighted ranks, CLV segments")
+    p = sub.add_parser("segment", parents=[periodic], help="RFM quintiles, weighted ranks, CLV segments")
     p.add_argument("--summaries", required=True)
     p.add_argument("--weights", default="0.34,0.33,0.33")
     p.add_argument("--artifact")

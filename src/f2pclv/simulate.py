@@ -14,6 +14,7 @@ gives each customer's draws the order a full sort by (customer, draw) would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n_customers < 1:
             raise DataError("n_customers must be >= 1")
+        for name in ("observation_days", "start_spread_days", "sessions_per_day", "rounds_per_session"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         if self.observation_days <= 0:
             raise DataError("observation_days must be > 0")
         if not 0.0 < self.conversion_rate <= 1.0:

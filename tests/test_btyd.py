@@ -655,6 +655,13 @@ class TestNonFiniteArguments:
                 with pytest.raises(DataError, match=f"{name} must be .* and finite"):
                     call()
 
+    @pytest.mark.parametrize("fit", [fit_pareto_nbd, fit_bg_nbd, fit_gamma_gamma], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0], ids=["nan", "inf", "-inf", "-1"])
+    def test_fit_penalizer(self, fit, value):
+        cohort = summaries_from_arrays([3, 1, 2], [5.0, 2.0, 9.0], [20.0] * 3, [6.0, 4.0, 5.0])
+        with pytest.raises(DataError, match=f"penalizer must be >= 0 and finite, got {value}"):
+            fit(cohort, penalizer=value)
+
 
 class TestFitting:
     def test_pareto_recovery_single_seed(self):
@@ -798,6 +805,47 @@ class TestFitting:
         first = fit_bg_nbd(summaries, seed=1)
         again = fit_bg_nbd(summaries, seed=1, restarts=1, initial=first.params)
         assert again.nll == pytest.approx(first.nll, abs=1e-6)
+
+    @pytest.mark.parametrize("shape", ["cohort", "tail_pairs", "all_distinct"])
+    def test_distinct_rows_equal_an_axis_0_unique(self, shape):
+        rng = np.random.default_rng(7)
+        x = rng.poisson(0.4, 3000).astype(float)
+        T = np.full(x.size, 730.0)
+        # zero-repeat rows share (0, 0, T); the rest have whole-day recencies
+        t_x = np.where(x > 0, np.floor(rng.uniform(0.0, 730.0, x.size)), 0.0)
+        columns = {
+            "cohort": (x, t_x, T),
+            "tail_pairs": (np.concatenate([x, x]), np.concatenate([t_x, T])),
+            "all_distinct": (rng.random(3000), rng.random(3000), rng.random(3000)),
+        }[shape]
+        rows, inverse, counts = np.unique(
+            np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
+        )
+        got_columns, got_counts, got_inverse = btyd._distinct_rows(*columns)
+        got = (*got_columns, got_counts, got_inverse)
+        want = (*rows.T, counts.astype(float), inverse.ravel())
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "truth",
+        [ParetoNBDParams(0.6, 8.0, 1.0, 80.0), ParetoNBDParams(1.5, 20.0, 0.4, 20.0), ParetoNBDParams(0.8, 50.0, 0.5, 5.0)],
+        ids=["alpha<<beta", "alpha=beta", "alpha>>beta"],
+    )
+    @pytest.mark.parametrize("days, spread", [(365.0, 0.0), (200.0, 150.0)], ids=["no_spread", "spread"])
+    def test_default_start_reaches_the_optimum_of_the_mean_age_start(self, truth, days, spread):
+        # the default start has alpha = beta; a start at beta = mean age,
+        # far from alpha, takes a costlier path and must reach one optimum
+        config = SimConfig(2000, days, truth, start_spread_days=spread, seed=49, build_log=False)
+        summaries = simulate_pareto_nbd_cohort(config)[1].summaries()
+        x, _, T, _ = summary_arrays(summaries)
+        mean_rate = (x.mean() + 0.5) / (T.mean() + 1.0)
+        default = fit_pareto_nbd(summaries)
+        old = fit_pareto_nbd(summaries, initial=ParetoNBDParams(1.0, 1.0 / mean_rate, 1.0, T.mean()))
+        assert default.converged and old.converged
+        assert default.nll == pytest.approx(old.nll, rel=1e-10)
 
 
 class TestCLVComposition:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file outputs, library equivalence."""
 
+import argparse
 import csv
 import json
 
@@ -8,7 +9,7 @@ import pytest
 
 from f2pclv import artifacts as art
 from f2pclv import btyd, markov
-from f2pclv.cli import main
+from f2pclv.cli import build_parser, main
 from f2pclv.data import (
     parse_transaction_log,
     read_summary_csv,
@@ -398,6 +399,45 @@ def test_bad_or_missing_flag_is_an_error_line_naming_it(workspace, tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert any(line.startswith("error: ") and flag in line for line in err.splitlines()), err
+
+
+_SIMULATE_BG = f"simulate --model bg_nbd --n-customers 10 --params {_PARAMS} --out-dir {{tmp}}/sim"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag, name",
+    [
+        ("fit --model pareto_nbd --input {ws}/summaries.csv --out {tmp}/fit.json", "--penalizer", "penalizer"),
+        ("fit --model bg_nbd --input {ws}/summaries.csv --out {tmp}/fit.json", "--penalizer", "penalizer"),
+        ("fit --model gamma_gamma --payers-only --input {ws}/summaries.csv --out {tmp}/fit.json", "--penalizer", "penalizer"),
+        (_SIMULATE_BG, "--days", "observation_days"),
+        (f"{_SIMULATE_BG} --days 30", "--spread", "start_spread_days"),
+        (f"{_SIMULATE_BG} --days 30", "--sessions-per-day", "sessions_per_day"),
+        (f"{_SIMULATE_BG} --days 30", "--rounds-per-session", "rounds_per_session"),
+    ],
+    ids=["pareto_penalizer", "bg_penalizer", "gamma_gamma_penalizer", "days", "spread", "sessions", "rounds"],
+)
+def test_non_finite_float_flag_is_an_error_line_naming_the_value(workspace, tmp_path, capsys, command, flag, name, value):
+    # flag=value, as argparse takes "-inf" after a space for an option
+    argv = command.format(ws=workspace, tmp=tmp_path).split() + [f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith(f"error: {name} must be")]
+    assert lines and lines[0].endswith(f"finite, got {value}"), err
+    # no artifact or simulated log is written
+    assert not any(tmp_path.iterdir())
+
+
+def test_shared_options_only_on_the_subcommands_that_read_them(tmp_path):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    having = {
+        option: sorted(name for name, p in sub.choices.items() if any(option in a.option_strings for a in p._actions))
+        for option in ("--seed", "--period-days")
+    }
+    assert having == {"--seed": ["evaluate", "fit", "simulate"], "--period-days": ["fit", "predict", "segment"]}
+    assert main(["ingest", "--seed", "3", "--out-dir", str(tmp_path)]) == 1
 
 
 def test_malformed_revenue_csv_is_data_error(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Generative cohort simulator checked against analytic identities."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from f2pclv.btyd import BGNBDParams, GammaGammaParams, ParetoNBDParams
+from f2pclv.errors import DataError
 from f2pclv.markov import RewardVector, StateSpace, TransitionMatrix, learn_transition_matrix
 from f2pclv.simulate import (
     SimConfig,
@@ -25,6 +28,26 @@ def _pareto_config(**kw):
     )
     base.update(kw)
     return SimConfig(**base)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("name", ["observation_days", "start_spread_days", "sessions_per_day", "rounds_per_session"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_are_rejected(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be finite, got {value}"):
+            _pareto_config(**{name: value})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_customers": 0}, "n_customers must be >= 1"),
+            ({"observation_days": 0.0}, "observation_days must be > 0"),
+            ({"conversion_rate": float("nan")}, "conversion_rate must lie in (0, 1]"),
+        ],
+    )
+    def test_range_rules_keep_their_messages(self, change, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            _pareto_config(**change)
 
 
 class TestParetoNBDCohort:
