@@ -54,7 +54,9 @@ def save_artifact(artifact: ModelArtifact, path) -> None:
     if artifact.model_kind not in MODEL_KINDS:
         raise DataError(f"unknown model_kind {artifact.model_kind!r}")
     with open(path, "w") as fh:
-        json.dump(asdict(artifact), fh, indent=2)
+        # the fields as they are: parameters from model_to_parameters are
+        # plain JSON values already, which asdict would deep-copy again
+        json.dump({f.name: getattr(artifact, f.name) for f in fields(artifact)}, fh, indent=2)
         fh.write("\n")
 
 

@@ -158,14 +158,23 @@ def _pareto_tail_term(r, alpha, s, beta, x, t, grad=False):
     return term, d_term
 
 
+def _pareto_log_alive_dead(r, alpha, s, beta, x, T, term1, term2):
+    """(log_alive, log_dead): the Pareto/NBD likelihood of the history for a
+    customer still alive at T and for one who died in (t_x, T], less the
+    terms that depend on x alone, from the tail terms at recency (term1) and
+    at age (term2)."""
+    # term1 >= term2 always (t_x <= T and the series is increasing in z)
+    log_a0 = term1 + _log1mexp(np.minimum(term2 - term1, 0.0))
+    log_alive = -(r + x) * np.log(alpha + T) - s * np.log(beta + T)
+    log_dead = np.log(s) - np.log(r + s + x) + log_a0
+    return log_alive, log_dead
+
+
 def _pareto_loglik_terms(r, alpha, s, beta, x, T, term1, term2, gammaln_rx):
     """Pareto/NBD log-likelihood from the tail terms at recency (term1) and
     at age (term2) and gammaln(r + x); returns (ll, log_alive, log_dead)."""
-    # term1 >= term2 always (t_x <= T and the series is increasing in z)
-    log_a0 = term1 + _log1mexp(np.minimum(term2 - term1, 0.0))
+    log_alive, log_dead = _pareto_log_alive_dead(r, alpha, s, beta, x, T, term1, term2)
     log_base = gammaln_rx - gammaln(r) + r * np.log(alpha) + s * np.log(beta)
-    log_alive = -(r + x) * np.log(alpha + T) - s * np.log(beta + T)
-    log_dead = np.log(s) - np.log(r + s + x) + log_a0
     return log_base + np.logaddexp(log_alive, log_dead), log_alive, log_dead
 
 
@@ -209,8 +218,10 @@ def pareto_nbd_loglik(params: ParetoNBDParams, frequency, recency, age):
 
 
 def _pareto_p_alive_arrays(r, alpha, s, beta, x, t_x, T):
-    ll, log_alive, log_dead = _pareto_loglik_arrays(r, alpha, s, beta, x, t_x, T)
-    return expit(-(log_dead - log_alive)), ll
+    term1 = _pareto_tail_term(r, alpha, s, beta, x, t_x)
+    term2 = _pareto_tail_term(r, alpha, s, beta, x, T)
+    log_alive, log_dead = _pareto_log_alive_dead(r, alpha, s, beta, x, T, term1, term2)
+    return expit(-(log_dead - log_alive))
 
 
 def _pareto_expected_arrays(params, x, t_x, T):
@@ -218,7 +229,7 @@ def _pareto_expected_arrays(params, x, t_x, T):
     per-customer factor, p_alive (r+x)(beta+T)/(alpha+T), and a function of
     (x, T, h) giving the horizon factor, the growth term, which has no 2F1."""
     r, alpha, s, beta = params.r, params.alpha, params.s, params.beta
-    p_alive, _ = _pareto_p_alive_arrays(r, alpha, s, beta, x, t_x, T)
+    p_alive = _pareto_p_alive_arrays(r, alpha, s, beta, x, t_x, T)
 
     def horizon_factor(x, T, h):
         # (1 - rho^(s-1)) / (s-1), rho = (beta+T)/(beta+T+h), without the
@@ -254,35 +265,39 @@ def _bg_log_base_gradient(r, alpha, a, b, x):
     ])
 
 
-def _bg_log_alive_dead(r, alpha, a, b, x, t_x, T):
-    """(log_alive, log_dead): the BG/NBD likelihood of the history for a
-    customer still alive at T and for one who dropped out at t_x, less the
-    terms of _bg_log_base."""
-    rx = r + x
-    log_alive = -rx * np.log(alpha + T)
+def _bg_log_odds(r, alpha, a, b, x, t_x, T, grad=False):
+    """log of the odds that a BG/NBD customer dropped out right after the
+    last purchase rather than being alive at T:
+    log(a/(b+x-1)) + (r+x) log((alpha+T)/(alpha+t_x)), -inf at x = 0, where
+    there was no dropout opportunity. With grad, returns (log_odds, d), d
+    its (4, rows) gradient in (log r, log alpha, log a, log b).
+
+    The ratio's log is taken by log1p((T-t_x)/(alpha+t_x)): a heavy buyer's
+    exponent r+x would multiply the rounding of the quotient or of a
+    difference of logs."""
     repeat = x > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_dead = np.where(
-            repeat,
-            np.log(a) - np.log(np.where(repeat, b + x - 1.0, 1.0)) - rx * np.log(alpha + t_x),
-            -np.inf,
-        )
-    return log_alive, log_dead
+    log_ratio = np.log1p((T - t_x) / (alpha + t_x))
+    # zero-repeat rows have no dropout mass; their b + x - 1 may be 0
+    b_x = np.where(repeat, b + x - 1.0, 1.0)
+    log_odds = np.where(repeat, np.log(a / b_x) + (r + x) * log_ratio, -np.inf)
+    if not grad:
+        return log_odds
+    d_alpha = (r + x) * alpha / (alpha + T) - (r + x) * alpha / (alpha + t_x)
+    return log_odds, np.stack([r * log_ratio, d_alpha, np.ones_like(x), -b / b_x])
 
 
-def _bg_alive_dead_gradient(r, alpha, a, b, x, t_x, T, log_alive, log_dead):
-    """(4, rows) gradient in (log r, log alpha, log a, log b) of
-    logaddexp(log_alive, log_dead) from _bg_log_alive_dead."""
+def _bg_log_alive_or_dead(r, alpha, a, b, x, t_x, T, grad=False):
+    """The BG/NBD log-likelihood less the terms of _bg_log_base: the log of
+    the masses of a customer alive at T and of one who dropped out at t_x,
+    -(r+x) log(alpha+T) + log(1 + odds). With grad, returns (value, d), d
+    its (4, rows) gradient in (log r, log alpha, log a, log b)."""
+    log_alive = -(r + x) * np.log(alpha + T)
+    if not grad:
+        return log_alive + np.logaddexp(0.0, _bg_log_odds(r, alpha, a, b, x, t_x, T))
+    log_odds, d_log_odds = _bg_log_odds(r, alpha, a, b, x, t_x, T, grad=True)
     zero = np.zeros_like(x)
     d_log_alive = np.stack([-r * np.log(alpha + T), -(r + x) * alpha / (alpha + T), zero, zero])
-    # zero-repeat rows have no dead mass; their b + x - 1 may be 0
-    d_log_dead = np.stack([
-        -r * np.log(alpha + t_x),
-        -(r + x) * alpha / (alpha + t_x),
-        zero + 1.0,
-        -b / np.where(x > 0, b + x - 1.0, 1.0),
-    ])
-    return d_log_alive + expit(log_dead - log_alive) * (d_log_dead - d_log_alive)
+    return log_alive + np.logaddexp(0.0, log_odds), d_log_alive + expit(log_odds) * d_log_odds
 
 
 def bg_nbd_loglik(params: BGNBDParams, frequency, recency, age):
@@ -290,7 +305,7 @@ def bg_nbd_loglik(params: BGNBDParams, frequency, recency, age):
     x, t_x, T = _as_arrays(frequency, recency, age)
     _validate_summary(x, t_x, T)
     r, alpha, a, b = params.r, params.alpha, params.a, params.b
-    ll = _bg_log_base(r, alpha, a, b, x) + np.logaddexp(*_bg_log_alive_dead(r, alpha, a, b, x, t_x, T))
+    ll = _bg_log_base(r, alpha, a, b, x) + _bg_log_alive_or_dead(r, alpha, a, b, x, t_x, T)
     if not np.all(np.isfinite(ll)):
         raise NumericalError(f"non-finite BG/NBD log-likelihood at params={params}")
     return _scalar_like(ll, frequency, recency, age)
@@ -311,14 +326,7 @@ def _bg_expected_arrays(params, x, t_x, T):
     r, alpha, a, b = params.r, params.alpha, params.a, params.b
     if abs(a - 1.0) < 1e-9:
         a = 1.0 + 1e-9  # the closed form has a removable singularity at a = 1
-    repeat = x > 0
-    # ((alpha+T)/(alpha+t_x))^(r+x) by log1p: a heavy buyer's exponent would
-    # multiply the rounding of the quotient
-    odds = np.where(
-        repeat,
-        a / np.where(repeat, b + x - 1.0, 1.0) * np.exp((r + x) * np.log1p((T - t_x) / (alpha + t_x))),
-        0.0,
-    )
+    per_customer = (a + b + x - 1.0) / (a - 1.0) * expit(-_bg_log_odds(r, alpha, a, b, x, t_x, T))
 
     def horizon_factor(x, T, h):
         base = alpha + T
@@ -332,7 +340,7 @@ def _bg_expected_arrays(params, x, t_x, T):
             out[negative] = 1.0 + np.exp(log_p[negative])
         return out
 
-    return (a + b + x - 1.0) / (a - 1.0) / (1.0 + odds), horizon_factor
+    return per_customer, horizon_factor
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +356,9 @@ def p_alive(params: ParetoNBDParams | BGNBDParams, frequency, recency, age):
     x, t_x, T = _as_arrays(frequency, recency, age)
     _validate_summary(x, t_x, T)
     if isinstance(params, ParetoNBDParams):
-        prob, _ = _pareto_p_alive_arrays(params.r, params.alpha, params.s, params.beta, x, t_x, T)
+        prob = _pareto_p_alive_arrays(params.r, params.alpha, params.s, params.beta, x, t_x, T)
     elif isinstance(params, BGNBDParams):
-        log_alive, log_dead = _bg_log_alive_dead(params.r, params.alpha, params.a, params.b, x, t_x, T)
-        prob = np.where(x > 0, expit(-(log_dead - log_alive)), 1.0)
+        prob = expit(-_bg_log_odds(params.r, params.alpha, params.a, params.b, x, t_x, T))
     else:
         raise DataError(f"p_alive is undefined for {type(params).__name__}")
     return _scalar_like(prob, frequency, recency, age)
@@ -592,12 +599,10 @@ def fit_bg_nbd(
 
     def loglik(vec):
         r, alpha, a, b = vec
-        log_base = _bg_log_base(r, alpha, a, b, x_values)[at_x]
-        log_alive, log_dead = _bg_log_alive_dead(r, alpha, a, b, x, t_x, T)
-        d_ll = _bg_log_base_gradient(r, alpha, a, b, x_values)[:, at_x] + _bg_alive_dead_gradient(
-            r, alpha, a, b, x, t_x, T, log_alive, log_dead
-        )
-        return counts @ (log_base + np.logaddexp(log_alive, log_dead)), d_ll @ counts
+        rest, d_rest = _bg_log_alive_or_dead(r, alpha, a, b, x, t_x, T, grad=True)
+        ll = _bg_log_base(r, alpha, a, b, x_values)[at_x] + rest
+        d_ll = _bg_log_base_gradient(r, alpha, a, b, x_values)[:, at_x] + d_rest
+        return counts @ ll, d_ll @ counts
 
     return _fit(loglik, len(summaries), x0, penalizer, restarts, seed, lambda v: BGNBDParams(*v))
 

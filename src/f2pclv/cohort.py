@@ -34,6 +34,10 @@ class BasicCLVConfig:
     discount_rate: float
 
     def __post_init__(self):
+        for name in ("gross_margin", "promotion_cost", "discount_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.retention <= 1.0:
             raise DataError("retention must lie in [0, 1]")
         if self.discount_rate < 0:
@@ -99,15 +103,11 @@ def fit_retention_curve(points: Sequence[tuple[float, float]], family: str) -> R
         raise DataError("fractions must lie in [0, 1]")
     if np.all(fracs == 0):
         raise DataError("all-zero fractions cannot be fit by a decay curve")
-    if family == "power_law":
-        model = lambda k: (1.0 + days) ** (-k)
-    elif family == "exponential":
-        model = lambda k: np.exp(-k * days)
-    else:
+    if family not in ("power_law", "exponential"):
         raise DataError(f"unknown retention family {family!r}")
 
     def rss(k):
-        return float(np.sum((model(k) - fracs) ** 2))
+        return float(np.sum((RetentionCurve(family, k).ret(days) - fracs) ** 2))
 
     # Bracket with a log-spaced scan first: the objective is flat wherever
     # the curve has fully decayed, which strands a plain bounded search.

@@ -86,6 +86,8 @@ def histories_from_log(log, period_days: float, n_periods: int | None = None):
     """Per-customer, per-period purchase value totals relative to each
     customer's first purchase. Returns (customer_ids, histories) where each
     history spans the same n_periods (default: enough to cover the log)."""
+    if not math.isfinite(period_days):
+        raise DataError(f"period_days must be finite, got {period_days}")
     if period_days <= 0:
         raise DataError("period_days must be > 0")
     ids, [(codes, times)], first = _group_by_customer(log.records)
@@ -135,6 +137,28 @@ def discretize_states(
     return out
 
 
+def _count_moves(sequences, n_states: int, cashflows=None):
+    """counts[i, j]: the number of moves from state i to state j over all
+    state sequences. With per-period cash flows aligned with the sequences,
+    also returns cash[i, j], the summed cash of the periods moved into."""
+    seqs = [np.asarray(seq) for seq in sequences]
+    flat = np.concatenate([np.empty(0, dtype=np.intp), *seqs])
+    if flat.size and not (flat.min() >= 0 and flat.max() < n_states):
+        raise DataError(f"states must lie in [0, {n_states})")
+    # every period but a sequence's last moves to the next entry
+    ends = np.cumsum([len(seq) for seq in seqs])
+    at = np.delete(np.arange(flat.size), ends[ends > 0] - 1)
+    cells = flat[at] * n_states + flat[at + 1]
+    counts = np.bincount(cells, minlength=n_states * n_states).reshape(n_states, n_states)
+    if cashflows is None:
+        return counts
+    cash = np.concatenate([np.empty(0), *(np.asarray(c, dtype=float) for c in cashflows)])
+    # bincount adds the weights in customer-then-period order, as a running
+    # sum per cell would
+    totals = np.bincount(cells, weights=cash[at + 1], minlength=n_states * n_states)
+    return counts, totals.reshape(n_states, n_states)
+
+
 def learn_transition_matrix(
     sequences: Sequence[Sequence[int]], space: StateSpace
 ) -> TransitionMatrix:
@@ -142,11 +166,7 @@ def learn_transition_matrix(
     total so rows are probability distributions; churn is forced absorbing.
     """
     n = space.n_states
-    counts = np.zeros((n, n))
-    for seq in sequences:
-        seq = np.asarray(seq)
-        if len(seq) >= 2:
-            np.add.at(counts, (seq[:-1], seq[1:]), 1.0)
+    counts = _count_moves(sequences, n).astype(float)
     counts[space.churn_index] = 0.0
     counts[space.churn_index, space.churn_index] = 1.0
     row_sums = counts.sum(axis=1)
@@ -259,19 +279,12 @@ def learn_recency_cell_table(
     moves.
     """
     space = StateSpace.recency_cells(n_cells)
-    sequences = discretize_states([[v > 0 for v in h] for h in histories], space)
-    trials = np.zeros(n_cells)
-    hits = np.zeros(n_cells)
-    totals = np.zeros(n_cells)
-    for seq, hist in zip(sequences, histories):
-        for i in range(len(seq) - 1):
-            c = seq[i]
-            if c == space.churn_index:
-                continue
-            trials[c] += 1
-            if seq[i + 1] == 0:
-                hits[c] += 1
-                totals[c] += hist[i + 1]
+    sequences = discretize_states([np.asarray(h) > 0 for h in histories], space)
+    counts, cash = _count_moves(sequences, space.n_states, histories)
+    # moves out of each cell, and those back to cell 1, which are purchases
+    trials = counts[:n_cells].sum(axis=1)
+    hits = counts[:n_cells, 0]
+    totals = cash[:n_cells, 0]
     if np.any(trials == 0):
         starved = [space.labels[c] for c in range(n_cells) if trials[c] == 0]
         raise DataError(f"no observations for recency cells: {starved}")
@@ -299,16 +312,13 @@ def recency_migration_forecast(
         raise DataError("starting_cell out of range")
     if n_periods < 1:
         raise DataError("n_periods must be >= 1")
-    c = table.n_cells
-    dist = np.zeros(c)
+    transitions, rewards = recency_chain(table)
+    dist = np.zeros(transitions.space.n_states)
     dist[starting_cell - 1] = 1.0
     stream = []
     for _ in range(n_periods):
-        stream.append(float(np.sum(dist * table.purchase_prob * table.purchase_value)))
-        nxt = np.zeros(c)
-        nxt[0] = np.sum(dist * table.purchase_prob)
-        nxt[1:] += dist[:-1] * (1.0 - table.purchase_prob[:-1])
-        dist = nxt
+        stream.append(float(dist @ rewards.values))
+        dist = dist @ transitions.matrix
     return MigrationForecast(per_period=stream, total=float(np.sum(stream)))
 
 

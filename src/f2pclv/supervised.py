@@ -11,6 +11,7 @@ the continuous features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -77,10 +78,15 @@ def extract_features(
     Players whose first activity is closer than `window` to the end of
     observation are excluded (their early window is truncated) and counted.
     """
+    for name, value in (("window", window), ("target_horizon", target_horizon)):
+        if not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {value}")
     if window <= 0 or target_horizon < window:
         raise DataError("need window > 0 and target_horizon >= window")
     if observation_end is None:
         observation_end = log.last_timestamp()
+    elif not math.isfinite(observation_end):
+        raise DataError(f"observation_end must be finite, got {observation_end}")
     ids, [(r_codes, r_times), (e_codes, e_times)], first = _group_by_customer(log.records, log.events)
     included = first <= observation_end - window
     n = int(included.sum())

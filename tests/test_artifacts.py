@@ -97,6 +97,14 @@ def test_save_load_save_is_byte_identical_and_predicts_bit_for_bit(tmp_path, nam
     assert np.array_equal(predict(reloaded), predict(model))
 
 
+@pytest.mark.parametrize("name", _CASES)
+def test_saved_file_is_the_indented_json_of_the_artifact(tmp_path, name):
+    kind, model, _ = _case(name)
+    artifact = art.ModelArtifact(kind, art.model_to_parameters(kind, model, {"nll": 1.5}), metadata={"seed": 1})
+    art.save_artifact(artifact, tmp_path / "a.json")
+    assert (tmp_path / "a.json").read_text() == json.dumps(asdict(artifact), indent=2) + "\n"
+
+
 def test_dataclass_kinds_store_their_fields_in_order():
     _, model, _ = _case("bg_nbd")
     assert art.model_to_parameters("bg_nbd", model, {"nll": 1.5}) == {**asdict(model), "nll": 1.5}

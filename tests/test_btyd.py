@@ -176,6 +176,26 @@ class TestLikelihoodProperties:
         for T in (1.0, 52.0, 365.0):
             assert p_alive(params, 0, 0.0, T) == 1.0
 
+    def test_bg_heavy_buyer_p_alive_matches_mpmath(self):
+        # 1 / (1 + odds) with odds = a/(b+x-1) ((alpha+T)/(alpha+t_x))^(r+x):
+        # at x in the thousands the exponent multiplies any rounding of the
+        # ratio's log, so the ratio must be taken by log1p of its excess
+        r, alpha, a, b = 0.4, 8.0, 0.8, 2.5
+        rng = np.random.default_rng(0)
+        x = rng.integers(1, 5000, 3000).astype(float)
+        T = rng.uniform(30.0, 730.0, x.size)
+        t_x = np.maximum(T - 10.0 ** rng.uniform(-3, 2, x.size), 0.0)
+        got = p_alive(BGNBDParams(r, alpha, a, b), x, t_x, T)
+        reference = np.empty(x.size)
+        with mpmath.workdps(40):
+            for i in range(x.size):
+                X = mpmath.mpf(x[i])
+                odds = a / (b + X - 1) * ((alpha + mpmath.mpf(T[i])) / (alpha + mpmath.mpf(t_x[i]))) ** (r + X)
+                reference[i] = float(1 / (1 + odds))
+        kept = reference >= 1e-6
+        assert kept.sum() > 2000
+        assert np.max(np.abs(got[kept] / reference[kept] - 1.0)) <= 1e-13
+
 
 def _mp_pareto_terms(r, alpha, s, beta, x, t_x, T):
     """(log-likelihood, p_alive) of one Pareto/NBD row, as mpmath numbers at
@@ -322,10 +342,8 @@ class TestLogLikelihoodGradients:
             r, alpha, a, b = np.exp(rng.uniform(np.log([0.1, 1.0, 0.2, 0.5]), np.log([3.0, 30.0, 3.0, 5.0])))
             rows = [(0.0, 0.0, 200.0), (1.0, 5.0, 100.0), (6.0, 150.0, 365.0), (float(rng.integers(1000, 4001)), 360.0, 365.0)]
             x, t_x, T = (np.array(v) for v in zip(*rows))
-            log_alive, log_dead = btyd._bg_log_alive_dead(r, alpha, a, b, x, t_x, T)
-            got = btyd._bg_log_base_gradient(r, alpha, a, b, x) + btyd._bg_alive_dead_gradient(
-                r, alpha, a, b, x, t_x, T, log_alive, log_dead
-            )
+            _, d_rest = btyd._bg_log_alive_or_dead(r, alpha, a, b, x, t_x, T, grad=True)
+            got = btyd._bg_log_base_gradient(r, alpha, a, b, x) + d_rest
             self._check(got, _mp_bg_loglik, (r, alpha, a, b), rows)
 
     def test_gamma_gamma(self):

@@ -430,6 +430,80 @@ def test_non_finite_float_flag_is_an_error_line_naming_the_value(workspace, tmp_
     assert not any(tmp_path.iterdir())
 
 
+def _float_options():
+    """Every (subcommand, option) of the CLI whose type is float."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {(name, a.option_strings[-1]) for name, p in sub.choices.items() for a in p._actions if a.type is float}
+
+
+_PREDICT_CLV = "predict --artifact {ws}/bg.json --spend-artifact {ws}/gg.json --input {ws}/summaries.csv --out {tmp}/pred.csv"
+# (a working invocation, the float options it reads); an option given again
+# as --flag=value overrides the invocation's own value
+_FLOAT_BASES = [
+    (
+        "summarize --kind features --transactions {ws}/sim/transactions.csv --events {ws}/sim/events.csv"
+        " --out {tmp}/features.csv",
+        ("--observation-end", "--window", "--horizon"),
+    ),
+    ("split --transactions {ws}/sim/transactions.csv --cutoff 182 --out-dir {tmp}/split", ("--cutoff",)),
+    (f"{_SIMULATE_BG} --days 30", ("--days", "--sessions-per-day", "--rounds-per-session", "--spread", "--conversion-rate")),
+    (
+        "fit --model basic --gc 10 --promotion 1 --retention 0.8 --discount-rate 0.05 --periods 6 --out {tmp}/basic.json",
+        ("--gc", "--promotion", "--retention", "--discount-rate"),
+    ),
+    ("fit --model bg_nbd --input {ws}/summaries.csv --out {tmp}/fit.json", ("--penalizer",)),
+    ("fit --model markov --input {ws}/sim/transactions.csv --period-days 7 --out {tmp}/markov.json", ("--period-days",)),
+    (
+        "fit --model forest --input {ws}/features.csv --smote-ratio 0.5 --n-trees 2 --out {tmp}/forest.json",
+        ("--smote-ratio",),
+    ),
+    (_PREDICT_CLV, ("--period-days", "--horizon", "--discount-rate")),
+    ("predict --artifact {ws}/ret.json --arpdau 0.5 --out {tmp}/pred.csv", ("--arpdau",)),
+    (
+        "segment --summaries {ws}/summaries.csv --artifact {ws}/bg.json --spend-artifact {ws}/gg.json"
+        " --out-dir {tmp}/seg",
+        ("--period-days", "--horizon", "--discount-rate"),
+    ),
+]
+_FLOAT_CASES = {(base.split()[0], flag): base for base, flags in _FLOAT_BASES for flag in flags}
+# the library parameters whose names differ from their flags' own
+_LIBRARY_NAMES = {"--smote-ratio": "target_ratio", "--period-days": "period"}
+
+
+@pytest.fixture(scope="module")
+def float_workspace(workspace):
+    """The CLI workspace with a feature table for the forest fit."""
+    assert main([
+        "summarize", "--kind", "features", "--transactions", str(workspace / "sim" / "transactions.csv"),
+        "--events", str(workspace / "sim" / "events.csv"), "--out", str(workspace / "features.csv"),
+    ]) == 0
+    return workspace
+
+
+def test_float_bases_cover_every_float_option():
+    assert set(_FLOAT_CASES) == _float_options()
+    assert len(_FLOAT_CASES) == 23
+
+
+@pytest.mark.parametrize("base", [base for base, _ in _FLOAT_BASES])
+def test_float_base_invocations_work(float_workspace, tmp_path, base):
+    assert main(base.format(ws=float_workspace, tmp=tmp_path).split()) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", sorted(_FLOAT_CASES), ids=[" ".join(case) for case in sorted(_FLOAT_CASES)])
+def test_every_float_flag_rejects_non_finite_values(float_workspace, tmp_path, capsys, command, flag, value):
+    # flag=value, as argparse takes "-inf" after a space for an option
+    argv = _FLOAT_CASES[command, flag].format(ws=float_workspace, tmp=tmp_path).split() + [f"{flag}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # the flag, the library parameter it sets, or the value
+    names = (flag, flag[2:].replace("-", "_"), _LIBRARY_NAMES.get(flag, flag))
+    lines = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert any(line.endswith(f"got {value}") or any(name in line for name in names) for line in lines), err
+
+
 def test_shared_options_only_on_the_subcommands_that_read_them(tmp_path):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     having = {

@@ -81,6 +81,13 @@ class TestBasicCLV:
         with pytest.raises(DataError):
             _config(1.0, 0.0, -1, 0.5, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["gross_margin", "promotion_cost", "discount_rate"])
+    def test_non_finite_money_and_rate_are_rejected(self, name, value):
+        values = {"gross_margin": 1.0, "promotion_cost": 0.0, "n_periods": 5, "retention": 0.5, "discount_rate": 0.1}
+        with pytest.raises(DataError, match=f"{name} must be finite, got {value}"):
+            BasicCLVConfig(**{**values, name: value})
+
 
 class TestRetentionCurveFit:
     def test_exponential_self_consistency(self):

@@ -113,6 +113,41 @@ class TestLearnTransitions:
         learned = learn_transition_matrix([[0, 0, 1, 1], [0, 0]], space)
         assert np.array_equal(learned.matrix[1], [0.0, 1.0])
 
+    def test_out_of_range_state_rejected(self):
+        with pytest.raises(DataError, match="states must lie in"):
+            learn_transition_matrix([[0, 1], [0, 3]], StateSpace.recency_cells(2))
+
+
+def _loop_counts(sequences, histories, n_states):
+    """Move counts and the cash of the periods moved into, one move at a
+    time in customer-then-period order: the reference for the counts the
+    transition matrix and the recency-cell table are learned from."""
+    counts, cash = np.zeros((n_states, n_states)), np.zeros((n_states, n_states))
+    for seq, hist in zip(sequences, histories):
+        for i in range(len(seq) - 1):
+            counts[seq[i], seq[i + 1]] += 1
+            cash[seq[i], seq[i + 1]] += hist[i + 1]
+    return counts, cash
+
+
+def test_learned_counts_match_a_loop_bit_for_bit():
+    # ragged histories, empty and one-period ones included, with cash of
+    # mixed magnitudes so any change in summation order shows
+    rng = np.random.default_rng(8)
+    histories = [
+        np.where(rng.random(n) < 0.4, rng.lognormal(2.0, 2.0, n), 0.0) for n in rng.integers(0, 30, 400)
+    ]
+    histories[:3] = [np.zeros(0), np.array([3.0]), np.array([0.0, 0.0])]
+    space = StateSpace.recency_cells(3)
+    sequences = discretize_states([h > 0 for h in histories], space)
+    counts, cash = _loop_counts(sequences, histories, space.n_states)
+    counts[space.churn_index] = np.eye(space.n_states)[space.churn_index]
+    learned = learn_transition_matrix(sequences, space)
+    assert np.array_equal(learned.matrix, counts / counts.sum(axis=1)[:, None])
+    table = learn_recency_cell_table(histories, 3)
+    assert np.array_equal(table.purchase_prob, counts[:3, 0] / counts[:3].sum(axis=1))
+    assert np.array_equal(table.purchase_value, cash[:3, 0] / counts[:3, 0])
+
 
 class TestRewards:
     def test_constant_cash(self):
@@ -269,6 +304,12 @@ class TestRecencyMigration:
         assert ids == ["a", "b"]
         assert list(histories[0]) == [5.0, 0.0, 3.0, 0.0]
         assert list(histories[1]) == [2.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("period_days", [float("nan"), float("inf"), float("-inf")])
+    def test_histories_reject_a_non_finite_period(self, period_days):
+        log = TransactionLog(records=[Transaction("a", 0.0, 5.0)])
+        with pytest.raises(DataError, match=f"period_days must be finite, got {period_days}"):
+            histories_from_log(log, period_days=period_days)
 
     def test_histories_add_a_period_in_log_order(self):
         # In log order period 0 sums to (1e16 + 1) - 1e16 = 0; in time order

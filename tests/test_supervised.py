@@ -58,6 +58,14 @@ class TestExtractFeatures:
         assert dataset.targets[0] == 20.0
         assert dataset.purchase_counts[0] == 3
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["window", "target_horizon", "observation_end"])
+    def test_non_finite_windows_are_rejected(self, name, value):
+        log = TransactionLog(records=[Transaction("p", 0.0, 1.0), Transaction("p", 10.0, 2.0)])
+        kwargs = {"window": 7.0, "target_horizon": 30.0, "observation_end": 60.0, name: value}
+        with pytest.raises(DataError, match=f"{name} must be finite, got {value}"):
+            extract_features(log, **kwargs)
+
     def test_amount_and_target_add_in_log_order(self):
         # In log order the three early purchases sum to (1e16 + 1) - 1e16 = 0;
         # in time order they would sum to 1.
