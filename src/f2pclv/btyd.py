@@ -28,8 +28,10 @@ from .special import log_hyp2f1
 
 def _require_positive(obj):
     for f in fields(obj):
-        if not getattr(obj, f.name) > 0:
-            raise DataError(f"{type(obj).__name__}.{f.name} must be > 0")
+        value = getattr(obj, f.name)
+        # a NaN fails the comparison
+        if not (value > 0 and math.isfinite(value)):
+            raise DataError(f"{type(obj).__name__}.{f.name} must be > 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,11 @@ def _pareto_tail_term(r, alpha, s, beta, x, t, grad=False):
         base, other, b, b_euler = beta, alpha, r + x, s + 1.0
     q = base + t
     z = abs(alpha - beta) / q
+    if not _all(z < 1.0):
+        # 1 - z = (other + t) / q is below the rounding of 1, as at beta
+        # ~1e17 times alpha + t: the 2F1 at z = 1 is out of reach, and a
+        # fit's objective reads this as a non-finite point
+        raise NumericalError(f"Pareto/NBD tail term: 2F1 argument rounds to 1 at alpha={alpha}, beta={beta}")
     if not grad:
         _, log_f = log_hyp2f1(1.0, b_euler, rsx + 1.0, z)
         return log_f + (1.0 - b) * np.log1p(-z) - rsx * np.log(q)

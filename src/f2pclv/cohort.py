@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DataError, NumericalError
 
@@ -113,16 +112,32 @@ def fit_retention_curve(points: Sequence[tuple[float, float]], family: str) -> R
     # the curve has fully decayed, which strands a plain bounded search.
     grid = np.concatenate([[0.0], np.logspace(-5, np.log10(200.0), 80)])
     best = int(np.argmin([rss(k) for k in grid]))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    if lo == hi:
-        k = float(lo)
-    else:
-        res = minimize_scalar(rss, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-        k = float(res.x)
+    k = _golden_section(rss, grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
     if rss(0.0) <= rss(k):
         k = 0.0
     return RetentionCurve(family=family, k=k, rss=rss(k))
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section(fn, lo: float, hi: float) -> float:
+    """The minimizer of fn on [lo, hi], unimodal there, to within 1e-12:
+    each step keeps the golden-ratio part of the bracket that holds the
+    lower of its two inner points."""
+    lo, hi = float(lo), float(hi)
+    a, b = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fa, fb = fn(a), fn(b)
+    while hi - lo > 1e-12:
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - _INV_PHI * (hi - lo)
+            fa = fn(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + _INV_PHI * (hi - lo)
+            fb = fn(b)
+    return a if fa <= fb else b
 
 
 def kaplan_meier(durations: Sequence[tuple[float, bool]]) -> RetentionCurve:

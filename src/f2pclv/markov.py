@@ -115,36 +115,42 @@ def discretize_states(
     assumed to open with a purchase just before the first period, and churn
     absorbs once the recency counter passes the last cell.
     """
-    n_cells = space.churn_index
-    out = []
-    for history in histories:
-        states = np.empty(len(history), dtype=np.int64)
-        last_purchase = -1
-        churned = False
-        for i, flag in enumerate(history):
-            if churned:
-                states[i] = space.churn_index
-                continue
-            if flag:
-                last_purchase = i
-            rec = i - last_purchase + 1
-            if rec > n_cells:
-                churned = True
-                states[i] = space.churn_index
-            else:
-                states[i] = rec - 1
-        out.append(states)
-    return out
+    flags = [np.asarray(h, dtype=bool) for h in histories]
+    lengths = np.array([f.size for f in flags], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    flat = np.concatenate([np.empty(0, dtype=bool), *flags])
+    at = np.arange(flat.size)
+    # per period, the first period of its history
+    first = np.repeat(ends - lengths, lengths)
+    # the last purchase at or before each period, over all histories end to
+    # end: a history's opening purchase sits at its first period - 1, after
+    # every period of the histories before it
+    last_purchase = np.maximum.accumulate(np.where(flat, at, first - 1))
+    cell = at - last_purchase
+    # churn absorbs: a period is churned once its history has passed the
+    # last cell at or before it
+    passed = np.maximum.accumulate(np.where(cell >= space.churn_index, at, -1))
+    states = np.where(passed >= first, space.churn_index, cell).astype(np.int64)
+    # slices, not np.split, whose per-piece overhead is most of the cost
+    return [states[i - n : i] for i, n in zip(ends.tolist(), lengths.tolist())]
+
+
+def _states_end_to_end(sequences, n_states: int):
+    """The state sequences as arrays and concatenated, checked to lie in
+    [0, n_states)."""
+    seqs = [np.asarray(seq) for seq in sequences]
+    # an empty list reads as float; it adds no state
+    flat = np.concatenate([np.empty(0, dtype=np.intp), *(seq for seq in seqs if seq.size)])
+    if flat.size and not (flat.min() >= 0 and flat.max() < n_states):
+        raise DataError(f"states must lie in [0, {n_states})")
+    return seqs, flat
 
 
 def _count_moves(sequences, n_states: int, cashflows=None):
     """counts[i, j]: the number of moves from state i to state j over all
     state sequences. With per-period cash flows aligned with the sequences,
     also returns cash[i, j], the summed cash of the periods moved into."""
-    seqs = [np.asarray(seq) for seq in sequences]
-    flat = np.concatenate([np.empty(0, dtype=np.intp), *seqs])
-    if flat.size and not (flat.min() >= 0 and flat.max() < n_states):
-        raise DataError(f"states must lie in [0, {n_states})")
+    seqs, flat = _states_end_to_end(sequences, n_states)
     # every period but a sequence's last moves to the next entry
     ends = np.cumsum([len(seq) for seq in seqs])
     at = np.delete(np.arange(flat.size), ends[ends > 0] - 1)
@@ -188,15 +194,14 @@ def estimate_state_rewards(
     """Mean per-period cash flow over all customer-periods spent in each
     state; the churn state is forced to 0."""
     n = space.n_states
-    totals = np.zeros(n)
-    visits = np.zeros(n)
-    for seq, cash in zip(sequences, cashflows):
-        seq = np.asarray(seq)
-        cash = np.asarray(cash, dtype=float)
-        if seq.shape != cash.shape:
-            raise DataError("cash flows must align with state sequences")
-        np.add.at(totals, seq, cash)
-        np.add.at(visits, seq, 1.0)
+    seqs, flat = _states_end_to_end(sequences, n)
+    cash = [np.asarray(c, dtype=float) for c in cashflows]
+    if len(cash) != len(seqs) or any(c.shape != seq.shape for c, seq in zip(cash, seqs)):
+        raise DataError("cash flows must align with state sequences")
+    # bincount adds the weights in customer-then-period order, as a running
+    # sum per state would
+    totals = np.bincount(flat, weights=np.concatenate([np.empty(0), *cash]), minlength=n)
+    visits = np.bincount(flat, minlength=n).astype(float)
     with np.errstate(invalid="ignore"):
         rewards = np.where(visits > 0, totals / np.maximum(visits, 1.0), 0.0)
     unvisited = [

@@ -6,6 +6,7 @@ from the assumption-level simulator match pointwise, and maximum
 likelihood recovers the generating parameters.
 """
 
+import dataclasses
 import time
 
 import mpmath
@@ -33,7 +34,7 @@ from f2pclv.btyd import (
 )
 from f2pclv.cohort import BasicCLVConfig, basic_clv
 from f2pclv.data import rfm_summary, split_calibration_holdout, summaries_from_arrays, summary_arrays
-from f2pclv.errors import DataError
+from f2pclv.errors import DataError, NumericalError
 from f2pclv.simulate import SimConfig, simulate_bg_nbd_cohort, simulate_pareto_nbd_cohort
 from f2pclv.special import log_hyp2f1
 
@@ -226,6 +227,13 @@ class TestParetoHypergeometric:
 
     # alpha < beta, so b = r+x; z = 19/21.2 = 0.896 at the recency
     WHALE = ParetoNBDParams(0.5, 1.0, 0.6, 20.0)
+
+    @pytest.mark.parametrize("params", [ParetoNBDParams(0.5, 10.0, 1e15, 1e18), ParetoNBDParams(0.5, 1e18, 1e15, 10.0)])
+    def test_argument_rounding_to_one_is_a_numerical_error(self, params):
+        # 1 - z = (10 + t) / (1e18 + t) rounds away; a fit's line search can
+        # step there along the flat s, beta -> inf ray of a cohort
+        with pytest.raises(NumericalError, match="rounds to 1"):
+            pareto_nbd_loglik(params, [0, 3], [0.0, 5.0], [20.0, 20.0])
 
     @pytest.mark.parametrize(
         "x,T", [(900, 400.0), (4000, 400.0), (900, 1.25), (4000, 1.21)]
@@ -679,6 +687,17 @@ class TestNonFiniteArguments:
         cohort = summaries_from_arrays([3, 1, 2], [5.0, 2.0, 9.0], [20.0] * 3, [6.0, 4.0, 5.0])
         with pytest.raises(DataError, match=f"penalizer must be >= 0 and finite, got {value}"):
             fit(cohort, penalizer=value)
+
+    @pytest.mark.parametrize(
+        "params",
+        [ParetoNBDParams(0.5, 10.0, 0.6, 12.0), BGNBDParams(0.4, 8.0, 0.8, 2.5), GammaGammaParams(6.0, 4.0, 15.0)],
+        ids=lambda p: type(p).__name__,
+    )
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")], ids=["inf", "-inf", "nan"])
+    def test_every_model_parameter(self, params, value):
+        for field in dataclasses.fields(params):
+            with pytest.raises(DataError, match=f"{type(params).__name__}.{field.name} must be > 0 and finite, got {value}"):
+                dataclasses.replace(params, **{field.name: value})
 
 
 class TestFitting:

@@ -430,6 +430,25 @@ def test_non_finite_float_flag_is_an_error_line_naming_the_value(workspace, tmp_
     assert not any(tmp_path.iterdir())
 
 
+_MODEL_FLAGS = {"--params": "r=0.5,alpha=10,s=0.6,beta=12", "--spend": "p=6,q=4,gamma=15"}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag, name", [("--params", "ParetoNBDParams"), ("--spend", "GammaGammaParams")])
+def test_non_finite_model_parameter_is_an_error_line(tmp_path, capsys, flag, name, value):
+    simulate = f"simulate --model pareto_nbd --n-customers 10 --days 30 --out-dir {tmp_path}/sim".split()
+    pairs = _MODEL_FLAGS[flag].split(",")
+    for i, pair in enumerate(pairs):
+        key = pair.partition("=")[0]
+        flags = {**_MODEL_FLAGS, flag: ",".join(pairs[:i] + [f"{key}={value}"] + pairs[i + 1 :])}
+        assert main(simulate + [item for option in flags.items() for item in option]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: {flag}: {name}.{key} must be > 0 and finite, got {value}" in err.splitlines(), err
+        # no simulated log is written
+        assert not any(tmp_path.iterdir())
+
+
 def _float_options():
     """Every (subcommand, option) of the CLI whose type is float."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,11 +1,13 @@
 """Cohort-average CLV formulas: discounted retention, curves, Kaplan-Meier."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from f2pclv.cohort import (
     BasicCLVConfig,
     MonetizationCurve,
+    RetentionCurve,
     basic_clv,
     fit_monetization_curve,
     fit_retention_curve,
@@ -102,6 +104,27 @@ class TestRetentionCurveFit:
         points = [(float(i), float((1 + i) ** -0.7)) for i in days]
         curve = fit_retention_curve(points, "power_law")
         assert curve.k == pytest.approx(0.7, abs=1e-6)
+
+    @pytest.mark.parametrize("family", ["power_law", "exponential"])
+    def test_noisy_fit_is_the_stationary_point_of_the_rss(self, family):
+        rng = np.random.default_rng(5)
+        days = np.arange(0.0, 60.0)
+        truth = RetentionCurve(family, 0.6 if family == "power_law" else 0.05).ret(days)
+        points = list(zip(days, np.clip(truth + rng.normal(0.0, 0.02, days.size), 0.0, 1.0)))
+        k = fit_retention_curve(points, family).k
+
+        def slope(k):
+            total = 0
+            for day, frac in points:
+                day, frac = mpmath.mpf(day), mpmath.mpf(frac)
+                log_ret = -k * (mpmath.log1p(day) if family == "power_law" else day)
+                total += (mpmath.exp(log_ret) - frac) * mpmath.exp(log_ret) * log_ret / k
+            return total
+
+        with mpmath.workdps(40):
+            k_star = mpmath.findroot(slope, mpmath.mpf(k))
+        # to the resolution of the rss in doubles, flat at its minimum
+        assert k == pytest.approx(float(k_star), rel=1e-7)
 
     def test_no_decay(self):
         points = [(float(i), 1.0) for i in range(10)]

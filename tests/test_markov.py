@@ -76,6 +76,33 @@ class TestDiscretize:
         (seq,) = discretize_states([[]], _space4())
         assert len(seq) == 0
 
+    @pytest.mark.parametrize("n_cells", [1, 3, 4])
+    def test_equals_a_period_loop_on_random_histories(self, n_cells):
+        space = StateSpace.recency_cells(n_cells)
+        rng = np.random.default_rng(n_cells)
+        histories = [
+            np.where(rng.random(n) < rate, rng.lognormal(1.0, 1.0, n), 0.0)
+            for n, rate in zip(rng.integers(0, 25, 300), rng.choice([0.0, 0.1, 0.5, 1.0], 300))
+        ]
+        # empty, all-zero, one-period and churn-then-purchase histories
+        histories[:5] = [np.zeros(0), np.zeros(9), np.array([2.0]), np.zeros(0), np.array([1.0] + [0.0] * 6 + [4.0])]
+        sequences = discretize_states(histories, space)
+        assert len(sequences) == len(histories)
+        for seq, history in zip(sequences, histories):
+            assert seq.dtype == np.int64
+            assert list(seq) == _loop_states(history, n_cells)
+
+
+def _loop_states(history, n_cells):
+    """The recency-cell states of one history, one period at a time."""
+    states, last_purchase, churned = [], -1, False
+    for i, value in enumerate(history):
+        if value:
+            last_purchase = i
+        churned = churned or i - last_purchase >= n_cells
+        states.append(n_cells if churned else i - last_purchase)
+    return states
+
 
 class TestLearnTransitions:
     def test_two_customers_same_move(self):
@@ -176,6 +203,31 @@ class TestRewards:
         space = StateSpace.recency_cells(1)
         with pytest.raises(DataError):
             estimate_state_rewards([[0, 0]], [[1.0]], space)
+
+    @pytest.mark.parametrize("state", [-1, 5])
+    def test_state_outside_the_space_rejected(self, state):
+        with pytest.raises(DataError, match=r"states must lie in \[0, 5\)"):
+            estimate_state_rewards([[0, 1], [2, state]], [[1.0, 1.0], [1.0, 1.0]], _space4())
+
+    def test_totals_match_a_loop_bit_for_bit(self):
+        # ragged sequences with cash of mixed magnitudes, so any change in
+        # summation order shows
+        rng = np.random.default_rng(3)
+        histories = [
+            np.where(rng.random(n) < 0.4, rng.lognormal(2.0, 2.0, n), 0.0) for n in rng.integers(0, 30, 400)
+        ]
+        histories[:2] = [np.zeros(0), np.array([5.0])]
+        space = StateSpace.recency_cells(3)
+        sequences = discretize_states([h > 0 for h in histories], space)
+        totals, visits = np.zeros(space.n_states), np.zeros(space.n_states)
+        for seq, cash in zip(sequences, histories):
+            for state, value in zip(seq, cash):
+                totals[state] += value
+                visits[state] += 1.0
+        with pytest.warns(UserWarning, match="churn"):
+            rewards = estimate_state_rewards(sequences, histories, space)
+        want = totals[:3] / visits[:3]
+        assert rewards.values[:3].tobytes() == want.tobytes()
 
 
 class TestValuation:
