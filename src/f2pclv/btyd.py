@@ -372,8 +372,10 @@ def p_alive(params: ParetoNBDParams | BGNBDParams, frequency, recency, age):
 
 
 # Cells of one (customer x horizon) block of expected transactions: the
-# 2F1 series keeps several working copies of its rows, so an unblocked
-# cohort-sized grid would multiply peak memory
+# 2F1 series keeps several working copies of its cells, so an unblocked
+# cohort-sized grid would multiply peak memory. A block of 12 periods holds
+# 5,461 customers, enough for log_hyp2f1 to sum each customer's periods by
+# row (special._row_series); a block of 180 holds 364, summed cell by cell
 _GRID_CELLS = 2**16
 
 
@@ -671,7 +673,10 @@ def discounted_clv(
     cumulative transactions at the ends of all periods k * period are one
     (customer x period) grid: the per-customer factor (p_alive and its 2F1
     calls under Pareto/NBD) is computed once, and the horizon factor (one
-    2F1 call per block of customers under BG/NBD) once for all periods.
+    2F1 call per block of customers under BG/NBD) once for all periods. A
+    customer's periods share the 2F1's parameters, so a block of enough
+    customers has each term ratio computed once per customer (see
+    special._row_series), with the bits of a one-customer call.
     """
     # a NaN fails every comparison
     if not (horizon >= 0 and math.isfinite(horizon)):

@@ -268,7 +268,7 @@ def cmd_fit(args):
         log = _load_log(args.input)
         _, histories = markov.histories_from_log(log, args.period_days)
         space = markov.StateSpace.recency_cells(args.recency_cells)
-        sequences = markov.discretize_states([h > 0 for h in histories], space)
+        sequences = markov.discretize_states(histories > 0, space)
         transitions = markov.learn_transition_matrix(sequences, space)
         model = (transitions, markov.estimate_state_rewards(sequences, histories, space))
         print(f"markov: {space.n_states} states over {len(sequences)} customers")

@@ -84,8 +84,9 @@ class RewardVector:
 
 def histories_from_log(log, period_days: float, n_periods: int | None = None):
     """Per-customer, per-period purchase value totals relative to each
-    customer's first purchase. Returns (customer_ids, histories) where each
-    history spans the same n_periods (default: enough to cover the log)."""
+    customer's first purchase. Returns (customer_ids, histories), histories
+    a (customers, n_periods) array whose row i is customer i's history
+    (n_periods defaults to enough to cover the log)."""
     if not math.isfinite(period_days):
         raise DataError(f"period_days must be finite, got {period_days}")
     if period_days <= 0:
@@ -103,7 +104,7 @@ def histories_from_log(log, period_days: float, n_periods: int | None = None):
         weights=log.records.payload[inside],
         minlength=len(ids) * n_periods,
     ).reshape(len(ids), n_periods)
-    return ids, [histories[i] for i in range(len(ids))]
+    return ids, histories
 
 
 def discretize_states(
@@ -113,12 +114,17 @@ def discretize_states(
 
     A truthy entry marks a purchase in that period. The relationship is
     assumed to open with a purchase just before the first period, and churn
-    absorbs once the recency counter passes the last cell.
+    absorbs once the recency counter passes the last cell. Histories of one
+    length may come as the rows of a 2-D array, which is read whole.
     """
-    flags = [np.asarray(h, dtype=bool) for h in histories]
-    lengths = np.array([f.size for f in flags], dtype=np.intp)
+    if isinstance(histories, np.ndarray) and histories.ndim == 2:
+        flat = histories.astype(bool, copy=False).ravel()
+        lengths = np.full(histories.shape[0], histories.shape[1], dtype=np.intp)
+    else:
+        flags = [np.asarray(h, dtype=bool) for h in histories]
+        lengths = np.array([f.size for f in flags], dtype=np.intp)
+        flat = np.concatenate([np.empty(0, dtype=bool), *flags])
     ends = np.cumsum(lengths)
-    flat = np.concatenate([np.empty(0, dtype=bool), *flags])
     at = np.arange(flat.size)
     # per period, the first period of its history
     first = np.repeat(ends - lengths, lengths)
@@ -284,7 +290,12 @@ def learn_recency_cell_table(
     moves.
     """
     space = StateSpace.recency_cells(n_cells)
-    sequences = discretize_states([np.asarray(h) > 0 for h in histories], space)
+    # one comparison for histories of one length, as histories_from_log gives
+    if isinstance(histories, np.ndarray) and histories.ndim == 2:
+        purchased = histories > 0
+    else:
+        purchased = [np.asarray(h) > 0 for h in histories]
+    sequences = discretize_states(purchased, space)
     counts, cash = _count_moves(sequences, space.n_states, histories)
     # moves out of each cell, and those back to cell 1, which are purchases
     trials = counts[:n_cells].sum(axis=1)

@@ -513,6 +513,60 @@ class TestExpectedTransactions:
                 worst = max(worst, float(abs((got[i] - reference) / reference)))
         assert worst <= 1e-13
 
+    # rows of a (customer x period) grid, whose periods share a, b and c:
+    # a > 1 and a < 1, a + b < 1, a + b - 1 - r < -1 (terms that change
+    # sign) and a within 1e-3 and 1e-7 of 1; (x, t_x, T) zero-repeat
+    # customers, light and heavy buyers, and at T = 5 rows whose later
+    # periods pass z = 0.9
+    BG_ROW_FAMILIES = [(0.4, 8.0, 0.8, 2.5), (0.25, 2.0, 0.3, 1.2), (0.4, 8.0, 0.3, 0.5), (2.5, 2.0, 0.3, 1.1)]
+    BG_ROW_NEAR_ONE = [(0.4, 8.0, 1.0 + d, 2.5) for d in (1e-3, -1e-3, 1e-7, -1e-7)]
+    BG_GRID_ROWS = [(0, 0.0, 30.0), (0, 0.0, 365.0), (1, 10.0, 30.0), (4, 200.0, 365.0), (30, 300.0, 365.0),
+                    (3000, 364.0, 365.0)]
+    BG_CROSSING_ROWS = [(0, 0.0, 5.0), (300, 4.5, 5.0)]
+
+    @pytest.mark.parametrize("periods,period", [(12, 7.0), (180, 1.0)])
+    def test_bg_horizon_rows_match_mpmath(self, monkeypatch, periods, period):
+        # the horizon factor 1 - P of calls summed by row (see
+        # special._row_series). The reference is 1 - (1 + h/(alpha+T))^-B
+        # 2F1(A, B; C; z) at the floats A = a+b-1-r, B = a-1, C = a+b+x-1 and
+        # z the factor passes: near a = 1, 1 - P is of order B, so the
+        # rounding of those floats alone moves it by eps / |a - 1| relative.
+        # Near a = 1 only rows below the switch, where the connection
+        # formula would keep fewer digits (ROADMAP item 8)
+        summed = []
+        row_series = special._row_series
+
+        def counted(*args):
+            summed.append(args[3].size)
+            return row_series(*args)
+
+        monkeypatch.setattr(special, "_row_series", counted)
+        monkeypatch.setattr(special, "_ROW_MIN_ROWS", 2)
+        horizons = period * np.arange(1, periods + 1)
+        # every 5th daily period against mpmath, all of them in the call
+        checked = range(0, periods, 1 if periods < 20 else 5)
+        worst, crossed = 0.0, False
+        for params in self.BG_ROW_FAMILIES + self.BG_ROW_NEAR_ONE:
+            rows = self.BG_GRID_ROWS + ([] if params in self.BG_ROW_NEAR_ONE else self.BG_CROSSING_ROWS)
+            x, t_x, T = (np.array(v, dtype=float) for v in zip(*rows))
+            _, horizon_factor = btyd._bg_expected_arrays(BGNBDParams(*params), x, t_x, T)
+            got = horizon_factor(x[:, None], T[:, None], horizons)
+            r, alpha, a, b = params
+            A, B = a + b - 1.0 - r, a - 1.0
+            with mpmath.workdps(40):
+                for i in range(x.size):
+                    base = alpha + T[i]
+                    for k in checked:
+                        z = horizons[k] / (base + horizons[k])
+                        crossed |= bool(z > special._Z_SWITCH)
+                        log_p = mpmath.log(mpmath.hyp2f1(A, B, a + b + x[i] - 1.0, z)) - B * mpmath.log1p(
+                            mpmath.mpf(horizons[k]) / base
+                        )
+                        reference = -mpmath.expm1(log_p)
+                        worst = max(worst, float(abs((got[i, k] - reference) / reference)))
+        assert summed and crossed
+        assert worst <= 1e-13
+
     @pytest.mark.parametrize("s", [0.6, 1.0, 2.5])
     @pytest.mark.parametrize("horizon", [1e-4, 0.01, 1.0, 365.0])
     def test_pareto_horizon_factor_matches_mpmath(self, s, horizon):
@@ -1009,6 +1063,16 @@ class TestCLVComposition:
             )
             assert [type(v) for v in online[:2]] == [float, float]
             assert online == tuple(b[i] for b in batch)
+
+    def test_one_customer_requests_equal_a_batch_summed_by_row(self):
+        # a batch of at least special._ROW_MIN_ROWS customers sums the grid
+        # of each block by row; a one-customer request takes the flat route
+        _, spend = self._models()
+        purchase = self.FAMILIES[1]
+        summaries = self._cohort(special._ROW_MIN_ROWS + 50, seed=5)
+        batch = discounted_clv(purchase, spend, summaries, 84.0, 0.01, 7.0)
+        for i in range(0, len(summaries), 41):
+            assert discounted_clv(purchase, spend, [summaries[i]], 84.0, 0.01, 7.0)[0] == batch[i]
 
     def _count_2f1_calls(self, monkeypatch, *args, **kwargs):
         calls = []

@@ -157,6 +157,27 @@ def _loop_counts(sequences, histories, n_states):
     return counts, cash
 
 
+@pytest.mark.parametrize("shape", [(300, 26), (5, 1), (4, 0)])
+def test_two_d_histories_equal_their_rows_as_a_list(shape):
+    # the rows of a 2-D array, as histories_from_log returns them, are read
+    # whole; all-zero, purchase-every-period and churn-then-purchase rows
+    rng = np.random.default_rng(shape[0])
+    histories = np.where(rng.random(shape) < 0.3, rng.lognormal(1.0, 1.0, shape), 0.0)
+    if shape[1]:
+        histories[:3] = np.array([[0.0], [1.0], [0.0]])
+        histories[3, 0] = histories[3, -1] = 2.0
+    space = StateSpace.recency_cells(3)
+    whole = discretize_states(histories > 0, space)
+    by_row = discretize_states([h > 0 for h in histories], space)
+    assert len(whole) == len(by_row) == shape[0]
+    for got, want in zip(whole, by_row):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    if shape == (300, 26):
+        table, from_list = learn_recency_cell_table(histories, 3), learn_recency_cell_table(list(histories), 3)
+        assert np.array_equal(table.purchase_prob, from_list.purchase_prob)
+        assert np.array_equal(table.purchase_value, from_list.purchase_value)
+
+
 def test_learned_counts_match_a_loop_bit_for_bit():
     # ragged histories, empty and one-period ones included, with cash of
     # mixed magnitudes so any change in summation order shows

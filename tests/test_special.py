@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from f2pclv import special
 from f2pclv.errors import NumericalError
 from f2pclv.special import _CHUNK_ROWS, MAX_TERMS, log_hyp2f1
 
@@ -302,3 +303,97 @@ def test_tangents_match_mpmath_directional_derivatives():
 def test_tangents_require_nonnegative_z():
     with pytest.raises(ValueError):
         log_hyp2f1(1.0, 2.0, 3.0, -0.5, tangents=(None, None, None, np.ones(1)))
+
+
+def _shared_parameter_rows(kind, rows=300, width=12):
+    """(a, b, c, z) of a call whose a, b and c are one value per row and
+    whose rows hold width arguments each, as the BG/NBD horizon factor makes
+    them: a+b-1-r and a-1 for the whole call and a+b+x-1 per customer."""
+    rng = np.random.default_rng(17)
+    x = rng.poisson(rng.gamma(0.5, 6.0, rows)).astype(float)
+    T = rng.uniform(30.0, 365.0, rows)
+    horizons = 7.0 * np.arange(1, width + 1)
+    r, alpha, a, b = 0.4, 8.0, 0.8, 2.5
+    if kind == "sign_changing":  # a+b-1-r < -1: the terms change sign
+        r, alpha, a, b = 2.5, 4.0, 0.3, 1.1
+    elif kind == "negative_f":  # a+b < 1: zero-repeat customers' 2F1 < 0
+        r, alpha, a, b = 0.4, 8.0, 0.3, 0.5
+        x[::3] = 0.0
+    elif kind == "crossing":  # later periods past z = 0.9, small and large c
+        alpha = 2.0
+        T[::2] = rng.uniform(1.0, 5.0, T[::2].size)
+        x[::4] = 300.0
+    z = horizons / (alpha + T[:, None] + horizons)
+    # zero horizons: sums of 0, which stay +0 whatever the sign of the terms
+    z[::5, 0] = 0.0
+    a_row, b_row, c_row = a + b - 1.0 - r, a - 1.0, (a + b + x - 1.0)[:, None]
+    if kind == "rescaled":  # sums past 2**500, one b per row
+        a_row, b_row = 40.0, rng.uniform(700.0, 900.0, (rows, 1))
+        c_row, z = np.full((rows, 1), 41.0), rng.uniform(0.4, 0.7, (rows, width))
+    return a_row, b_row, c_row, z
+
+
+@pytest.mark.parametrize("kind", ["bg", "sign_changing", "negative_f", "crossing", "rescaled"])
+def test_rows_sharing_parameters_give_each_cell_its_flat_bits(kind, monkeypatch):
+    # summed by row, a cell takes the terms, stop and remainder the flat
+    # call gives it, alone or among any rows and in chunks of any size
+    a, b, c, z = _shared_parameter_rows(kind)
+    per_cell = [np.broadcast_to(v, z.shape).ravel() for v in (a, b, c)]
+    flat = log_hyp2f1(*per_cell, z.ravel())
+    if kind == "rescaled":
+        assert flat[1].max() > 500 * np.log(2.0)
+    if kind == "crossing":
+        assert (z > 0.9).any()
+    summed = []
+    monkeypatch.setattr(special, "_row_series", _counting(special._row_series, summed))
+    monkeypatch.setattr(special, "_ROW_MIN_ROWS", 2)
+    for chunk_cells, ratio_terms in [(2**16, 4), (12, 4), (100, 1), (1000, 7)]:
+        monkeypatch.setattr(special, "_ROW_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(special, "_RATIO_TERMS", ratio_terms)
+        for rows in (slice(None), slice(0, 1), slice(5, 7)):
+            values = log_hyp2f1(*(v[rows] if np.ndim(v) else v for v in (a, b, c)), z[rows])
+            for got, want in zip(values, flat):
+                assert _same_bits(got, want.reshape(z.shape)[rows])
+    assert len(summed) > 10
+
+
+def _same_bits(x, y):
+    """Equal float64 arrays, bit for bit: -0.0 differs from 0.0."""
+    return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
+
+
+def _counting(function, calls):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+    return counted
+
+
+def test_batch_of_shared_parameter_rows_equals_one_row_calls():
+    # more rows than one chunk holds, at the default thresholds; each row
+    # alone is below _ROW_MIN_ROWS and takes the flat route
+    rows = special._ROW_CHUNK_CELLS // 12 + special._ROW_MIN_ROWS
+    a, b, c, z = _shared_parameter_rows("bg", rows=rows)
+    batch = log_hyp2f1(a, b, c, z)
+    for i in range(0, rows, 97):
+        one = log_hyp2f1(a, b, c[i : i + 1], z[i : i + 1])
+        assert _same_bits(one[0][0], batch[0][i]) and _same_bits(one[1][0], batch[1][i])
+
+
+@pytest.mark.parametrize("with_tangents", [False, True], ids=["value", "tangents"])
+def test_one_column_call_equals_its_rows_passed_flat(with_tangents):
+    # a call with one argument per row takes the flat route, however many
+    # rows it has
+    n = 2 * special._ROW_MIN_ROWS
+    rng = np.random.default_rng(19)
+    a, b = 1.9, -0.2
+    c, z = rng.uniform(2.3, 300.0, n), rng.uniform(0.0, 0.95, n)
+    tangents = (None, None, *rng.normal(size=(2, 3, n))) if with_tangents else None
+    column = log_hyp2f1(
+        a, b, c[:, None], z[:, None],
+        tangents=None if tangents is None else (None, None, *(t[..., None] for t in tangents[2:])),
+    )
+    flat = log_hyp2f1(a, b, c, z, tangents=tangents)
+    assert len(column) == len(flat) == (3 if with_tangents else 2)
+    for got, want in zip(column, flat):
+        assert _same_bits(got[..., 0], want)
