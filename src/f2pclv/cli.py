@@ -113,6 +113,9 @@ def cmd_ingest(args):
             write(result.log, out_dir / f"{name}.csv")
             kept = result.total_rows - result.rejected_rows
             print(f"{name}: {kept} kept, {result.rejected_rows} rejected of {result.total_rows}")
+            reasons = [f"{n} {reason}" for reason, n in result.rejected_by_reason.items() if n]
+            if reasons:
+                print(f"{name} rejected: {', '.join(reasons)}")
     return 0
 
 

@@ -9,9 +9,11 @@ every BTYD entry point, an `RFMSummary` row is built only where one is
 indexed or iterated, and `summary_arrays` turns a sequence of rows passed
 in into columns once.
 
-Only this module turns CSV cells to values and back: logs are read row by
-row through `read_columns`, other tables through the typed `read_csv`, and
-every file is written from columns by `write_csv`. Every per-customer view
+Only this module turns CSV cells to values and back. `_reader` resolves the
+header of every file read; logs stream through its itemgetter into columns,
+parsing each run of equal time cells once, other tables through the typed
+`read_csv`, and every file is written from columns by `write_csv`, which
+formats each run of equal floats once. Every per-customer view
 of a log (RFM, the curves, Markov histories, supervised features) starts
 from `_group_by_customer`, and `rfm_summary` shares its RFM arithmetic with
 the simulator's ground truth through `_rfm_from_segments`. That reduces the
@@ -32,8 +34,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,7 +93,12 @@ class Rows:
         return Rows(self.row, self.ids, self.codes[index], self.times[index], self.payload[index])
 
     def sorted(self) -> "Rows":
-        """Rows ordered by customer id, then timestamp; ties keep row order."""
+        """Rows ordered by customer id, then timestamp; ties keep row order.
+        Rows already in that order, as a parsed normalized log is, are
+        returned as they are."""
+        step = np.diff(self.codes)
+        if np.all((step > 0) | ((step == 0) & (np.diff(self.times) >= 0))):
+            return self
         return self.take(np.lexsort((self.times, self.codes)))
 
     def __len__(self) -> int:
@@ -226,11 +234,20 @@ class ColumnMapping:
             raise DataError(f"delimiter must be a single character, got {self.delimiter!r}")
 
 
+REJECT_REASONS = ("missing_cell", "bad_time", "time_out_of_range", "bad_payload")
+
+
 @dataclass
 class IngestResult:
+    """A parsed log and its row counts. `rejected_by_reason` maps each of
+    `REJECT_REASONS` to its share of `rejected_rows`: a short row or an empty
+    id, a time that does not parse, a negative or non-finite time, and a
+    payload that does not parse or is out of range."""
+
     log: TransactionLog
     rejected_rows: int
     total_rows: int
+    rejected_by_reason: dict[str, int] = field(default_factory=dict)
 
 
 def _iso_days(raw: str) -> float:
@@ -244,14 +261,15 @@ def _iso_days(raw: str) -> float:
     return (d - datetime.combine(_EPOCH, datetime.min.time())).total_seconds() / 86400.0
 
 
-def read_columns(source: Iterable[str] | str, columns: Sequence[str], delimiter: str = ","):
-    """Yield the cells of `columns`, in order, from each row of a CSV given
-    as an open file, an iterable of lines or the text itself.
+def _reader(source: Iterable[str] | str, columns: Sequence[str], delimiter: str = ","):
+    """The non-blank rows of a CSV given as an open file, an iterable of lines
+    or the text itself, after its header row, and an `itemgetter` of the
+    cells of `columns` in a row, in order; on a short row it raises
+    IndexError, and the reader goes on from the next row.
 
     A column missing from the header row is a DataError naming it and the
-    file. As with `csv.DictReader`, blank rows are skipped, a name twice in
-    the header reads its last occurrence, and a short row's missing cells
-    are None.
+    file. As with `csv.DictReader`, blank rows are skipped and a name twice
+    in the header reads its last occurrence.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -263,10 +281,9 @@ def read_columns(source: Iterable[str] | str, columns: Sequence[str], delimiter:
             where = getattr(source, "name", "the input")
             raise DataError(f"column {name!r} not found in header {header} of {where}")
     picks = [index[name] for name in columns]
-    for row in rows:
-        if row:
-            n = len(row)
-            yield [row[i] if i < n else None for i in picks]
+    # one column's itemgetter gives the cell itself, not a 1-tuple
+    pick = itemgetter(*picks) if len(picks) > 1 else lambda row, i=picks[0]: (row[i],)
+    return filter(None, rows), pick
 
 
 def read_header(path) -> list[str]:
@@ -279,14 +296,19 @@ def read_csv(path, columns: Sequence[str], types: Sequence[type]) -> list[list]:
     """The cells of `columns` in a CSV file, a list per column converted by
     its entry in `types`. A missing column, a short row or a cell that does
     not convert is a DataError naming the file."""
+    cells = [[] for _ in columns]
+    converters = list(zip([c.append for c in cells], types))
     with open(path, newline="") as fh:
-        cells = tuple(zip(*read_columns(fh, columns))) or ((),) * len(columns)
-    try:
-        if any(None in column for column in cells):
-            raise ValueError("a row is short of cells")
-        return [list(map(t, column)) for t, column in zip(types, cells)]
-    except (TypeError, ValueError) as e:
-        raise DataError(f"malformed cell in {path}: {e}") from None
+        rows, pick = _reader(fh, columns)
+        try:
+            for row in map(pick, rows):
+                for (append, convert), cell in zip(converters, row):
+                    append(convert(cell))
+        except IndexError:
+            raise DataError(f"malformed cell in {path}: a row is short of cells") from None
+        except (TypeError, ValueError) as e:
+            raise DataError(f"malformed cell in {path}: {e}") from None
+    return cells
 
 
 _CHUNK_ROWS = 16384
@@ -303,23 +325,31 @@ def _cell(value) -> str:
     return "" if value is None else _quote(str(value))
 
 
-def _text_of(column):
-    """The function that gives a cell of `column`, after `tolist`, its
-    text: `float.__repr__` for a float array, a lookup that quotes each
-    distinct string once for a column of strings, else `_cell`."""
+def _float_texts(part: np.ndarray):
+    """`float.__repr__` of each cell of a 1-D float array, formatted once per
+    run of adjacent cells with the same bits."""
+    bits = part.view(f"u{part.itemsize}")
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array(list(map(float.__repr__, part[starts].tolist())), dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(part))).tolist()
+
+
+def _texts_of(column):
+    """The function that gives the cells of a slice of `column` their texts:
+    `_float_texts` for a float array, else each cell after `tolist` through
+    a lookup that quotes each distinct string once for a column of strings,
+    or through `_cell`."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return float.__repr__
+        return _float_texts
     distinct = set(column)
-    if all(type(v) is str for v in distinct):
-        return {v: _quote(v) for v in distinct}.__getitem__
-    return _cell
+    text = {v: _quote(v) for v in distinct}.__getitem__ if all(type(v) is str for v in distinct) else _cell
+    return lambda part: map(text, part.tolist() if isinstance(part, np.ndarray) else part)
 
 
 def _write_rows(fh, columns: Sequence[Sequence]) -> None:
-    texts = [_text_of(column) for column in columns]
+    texts = [_texts_of(column) for column in columns]
     for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
-        parts = (column[start:start + _CHUNK_ROWS] for column in columns)
-        cells = (map(text, p.tolist() if isinstance(p, np.ndarray) else p) for text, p in zip(texts, parts))
+        cells = (texts_of(column[start:start + _CHUNK_ROWS]) for texts_of, column in zip(texts, columns))
         lines = map(",".join, zip(*cells))
         if len(columns) == 1:  # a lone empty cell is quoted, or the row would read as blank
             lines = ['""' if line == "" else line for line in lines]
@@ -335,26 +365,56 @@ def write_csv(path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
         _write_rows(fh, columns)
 
 
-def _parse_log(source, mapping: ColumnMapping, row: type, column: str, payload_of) -> tuple[Rows, int]:
-    """The rows of a delimited log sorted by customer then time, and the
-    number of rows read. `payload_of` turns a cell of `column` into a row's
-    payload, or None to reject the row."""
+def _parse_log(source, mapping: ColumnMapping, row: type, column: str, payload_of) -> tuple[Rows, int, dict]:
+    """The rows of a delimited log sorted by customer then time, the number
+    of rows read, and the number rejected for each of `REJECT_REASONS`.
+    `payload_of` turns a cell of `column` into a row's payload, or None or a
+    ValueError to reject the row.
+
+    A time cell equal to the previous row's reuses its value: a log's rows
+    come in runs of equal timestamps (the simulator logs each round at its
+    session's start). A rejected time breaks the run.
+    """
     to_days = _iso_days if mapping.iso_dates else float
-    columns = (mapping.customer_id, mapping.timestamp, column)
+    rows, pick = _reader(source, (mapping.customer_id, mapping.timestamp, column), mapping.delimiter)
     index, codes, times, payload = {}, [], [], []
+    rejected = dict.fromkeys(REJECT_REASONS, 0)
     total = 0
-    for cid, raw_t, cell in read_columns(source, columns, mapping.delimiter):
-        total += 1
+    raw_prev = t = None
+    while True:
         try:
-            t = to_days(raw_t)
-            p = payload_of(cell)
-        except (AttributeError, TypeError, ValueError):  # a short row's missing cell is None
+            for cid, raw_t, cell in map(pick, rows):
+                total += 1
+                if not cid:
+                    rejected["missing_cell"] += 1
+                    continue
+                if raw_t != raw_prev:
+                    raw_prev = None
+                    try:  # an ISO time whose UTC date is out of range overflows
+                        t = to_days(raw_t)
+                    except (OverflowError, ValueError):
+                        rejected["bad_time"] += 1
+                        continue
+                    if not 0.0 <= t < math.inf:
+                        rejected["time_out_of_range"] += 1
+                        continue
+                    raw_prev = raw_t
+                try:
+                    p = payload_of(cell)
+                except ValueError:
+                    p = None
+                if p is None:
+                    rejected["bad_payload"] += 1
+                    continue
+                codes.append(index.setdefault(cid, len(index)))
+                times.append(t)
+                payload.append(p)
+        except IndexError:  # a short row; a new map goes on from the next
+            total += 1
+            rejected["missing_cell"] += 1
             continue
-        if cid and math.isfinite(t) and t >= 0 and p is not None:
-            codes.append(index.setdefault(cid, len(index)))
-            times.append(t)
-            payload.append(p)
-    return Rows(row, list(index), codes, times, payload).sorted(), total
+        break
+    return Rows(row, list(index), codes, times, payload).sorted(), total, rejected
 
 
 def _purchase_value(cell: str) -> float | None:
@@ -369,15 +429,15 @@ def parse_transaction_log(source: Iterable[str] | str, mapping: ColumnMapping = 
     timestamp, or a negative or non-finite value are rejected. A missing
     mapped column is a format error.
     """
-    records, total = _parse_log(source, mapping, Transaction, mapping.value, _purchase_value)
-    return IngestResult(log=TransactionLog(records=records), rejected_rows=total - len(records), total_rows=total)
+    records, total, rejected = _parse_log(source, mapping, Transaction, mapping.value, _purchase_value)
+    return IngestResult(TransactionLog(records=records), total - len(records), total, rejected)
 
 
 def parse_event_log(source: Iterable[str] | str, mapping: ColumnMapping = ColumnMapping()) -> IngestResult:
     """Parse gameplay-event rows (customer_id, timestamp, event_kind)."""
     # EVENT_KINDS' own str objects: every row of a kind shares one
-    events, total = _parse_log(source, mapping, GameEvent, mapping.event_kind, {k: k for k in EVENT_KINDS}.get)
-    return IngestResult(log=TransactionLog(events=events), rejected_rows=total - len(events), total_rows=total)
+    events, total, rejected = _parse_log(source, mapping, GameEvent, mapping.event_kind, {k: k for k in EVENT_KINDS}.get)
+    return IngestResult(TransactionLog(events=events), total - len(events), total, rejected)
 
 
 def write_transaction_csv(log: TransactionLog, path) -> None:

@@ -569,6 +569,7 @@ def test_ingest_reports_rejects(tmp_path, capsys):
     assert main(["ingest", "--transactions", str(raw), "--out-dir", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "2 kept" in out and "2 rejected" in out
+    assert "transactions rejected: 1 bad_time, 1 bad_payload" in out
 
 
 @pytest.mark.parametrize("delimiter", [";;", ""])

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import random
 
 import numpy as np
@@ -10,14 +11,19 @@ import pytest
 from f2pclv.btyd import GammaGammaParams, ParetoNBDParams
 from f2pclv.data import (
     _CHUNK_ROWS,
+    _reader,
     EVENT_KINDS,
+    REJECT_REASONS,
     ActivityConfig,
     ColumnMapping,
     GameEvent,
     RFMSummaries,
     RFMSummary,
+    Rows,
     Transaction,
     TransactionLog,
+    _iso_days,
+    _purchase_value,
     _rfm_from_segments,
     _segments_by_length,
     activity_state,
@@ -25,7 +31,6 @@ from f2pclv.data import (
     daily_active_fractions,
     parse_event_log,
     parse_transaction_log,
-    read_columns,
     read_csv,
     read_summary_csv,
     rfm_quintile_scores,
@@ -140,6 +145,184 @@ class TestParsing:
         assert list(re_events.events) == list(log.events)
 
 
+def _reference_read_columns(source, columns, delimiter=","):
+    """The row reader that parsing used before the itemgetter pass, kept as
+    an oracle: a list of the mapped cells per non-blank row, None for a
+    short row's missing cells."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    rows = csv.reader(source, delimiter=delimiter)
+    header = next(rows, [])
+    index = {name: i for i, name in enumerate(header)}
+    for name in columns:
+        if name not in index:
+            where = getattr(source, "name", "the input")
+            raise DataError(f"column {name!r} not found in header {header} of {where}")
+    picks = [index[name] for name in columns]
+    for row in rows:
+        if row:
+            n = len(row)
+            yield [row[i] if i < n else None for i in picks]
+
+
+def _reference_parse(source, mapping, row, column, payload_of):
+    """The per-row parse loop over `_reference_read_columns`, kept as an
+    oracle: (rows sorted by a lexsort, total rows, rejected rows)."""
+    to_days = _iso_days if mapping.iso_dates else float
+    index, codes, times, payload = {}, [], [], []
+    total = 0
+    for cid, raw_t, cell in _reference_read_columns(source, (mapping.customer_id, mapping.timestamp, column), mapping.delimiter):
+        total += 1
+        try:
+            t = to_days(raw_t)
+            p = payload_of(cell)
+        except (AttributeError, TypeError, ValueError):
+            continue
+        if cid and math.isfinite(t) and t >= 0 and p is not None:
+            codes.append(index.setdefault(cid, len(index)))
+            times.append(t)
+            payload.append(p)
+    rows = Rows(row, list(index), codes, times, payload)
+    rows = rows.take(np.lexsort((rows.times, rows.codes)))
+    return rows, total, total - len(rows)
+
+
+_ORACLE_IDS = ["a", "b", "c", "a,b", 'q"x', "n\nl", "", " a", "purchase", "10"]
+_ORACLE_TIMES = ["0", "1.5", "2.25", "10", " 4 ", "-0.0", "-3", "nan", "inf", "-inf", "1e400", "x", ""]
+_ORACLE_DATES = ["1970-01-11", "1970-01-02 12:00", "2021-05-01T10:00:00+02:00", "1969-12-31", "2020-02-30", "x", ""]
+_ORACLE_VALUES = ["5", "0", "2.5", "-1", "nan", "inf", "1e400", "two", "", "session_start"]
+_ORACLE_KINDS = [*EVENT_KINDS, "level_up", "", "5"]
+# (header, mapping fields): the plain header, a column named twice, an
+# unmapped column, two fields mapped to one column, and a missing column
+_ORACLE_HEADERS = [
+    (["customer_id", "timestamp", "value", "event_kind"], {}),
+    (["value", "event_kind", "customer_id", "timestamp", "value", "event_kind"], {}),
+    (["junk", "timestamp", "customer_id", "event_kind", "value"], {}),
+    (["customer_id", "timestamp", "value", "event_kind"], {"value": "timestamp", "event_kind": "customer_id"}),
+    (["uid", "t", "value", "event_kind"], {"customer_id": "uid", "timestamp": "t"}),
+    (["customer_id", "timestamp"], {}),
+]
+
+
+def _random_log(rng: random.Random):
+    """A seeded malformed log: (text, mapping). Rows come in random customer
+    order, often repeat the previous row's time cell, and are sometimes
+    blank, short or long."""
+    header, fields = rng.choice(_ORACLE_HEADERS)
+    iso_dates = rng.random() < 0.25
+    delimiter = rng.choice([",", ",", ";"])
+    mapping = ColumnMapping(delimiter=delimiter, iso_dates=iso_dates, **fields)
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delimiter)
+    writer.writerow(header)
+    time_cells = _ORACLE_DATES if iso_dates else _ORACLE_TIMES
+    raw_t = rng.choice(time_cells)
+    for _ in range(rng.randrange(0, 30)):
+        if rng.random() < 0.5:
+            raw_t = rng.choice(time_cells)  # else the previous row's time, maybe past a rejected row
+        cells = {
+            "customer_id": rng.choice(_ORACLE_IDS),
+            "timestamp": raw_t,
+            "value": rng.choice(_ORACLE_VALUES),
+            "event_kind": rng.choice(_ORACLE_KINDS),
+        }
+        row = [cells.get(name, "?") for name in header]
+        shape = rng.random()
+        if shape < 0.08:
+            row = []  # blank
+        elif shape < 0.2:
+            row = row[: rng.randrange(1, len(row))]  # short
+        elif shape < 0.25:
+            row = row + ["extra"]
+        writer.writerow(row)
+    return out.getvalue(), mapping
+
+
+def _parse_outcome(parse, source, mapping):
+    """What a parse gives: its rows' columns with time bits and its counts,
+    or the message of the DataError it raises."""
+    try:
+        result = parse(source, mapping)
+    except DataError as e:
+        return "DataError", str(e)
+    rows = result.log.records if parse is parse_transaction_log else result.log.events
+    assert list(result.rejected_by_reason) == list(REJECT_REASONS)
+    assert sum(result.rejected_by_reason.values()) == result.rejected_rows
+    return _rows_outcome(rows, result.total_rows, result.rejected_rows)
+
+
+def _rows_outcome(rows, total, rejected):
+    return rows.ids.tolist(), rows.codes.tolist(), rows.times.view(np.uint64).tolist(), rows.payload.tolist(), total, rejected
+
+
+def _reference_outcome(parse, source, mapping):
+    if parse is parse_transaction_log:
+        args = Transaction, mapping.value, _purchase_value
+    else:
+        args = GameEvent, mapping.event_kind, {k: k for k in EVENT_KINDS}.get
+    try:
+        return _rows_outcome(*_reference_parse(source, mapping, *args))
+    except DataError as e:
+        return "DataError", str(e)
+
+
+class TestParseOracle:
+    """Both parsers against the per-row reference loop on seeded malformed
+    logs, read from a str, a file and an iterable of lines."""
+
+    @pytest.mark.parametrize("parse", [parse_transaction_log, parse_event_log])
+    def test_matches_the_reference_loop(self, tmp_path, parse):
+        rng = random.Random(20)
+        path = tmp_path / "log.csv"
+        for case in range(400):
+            text, mapping = _random_log(rng)
+            path.write_text(text, newline="")
+            for kind in ("str", "file", "lines"):
+                outcomes = []
+                for outcome in (_parse_outcome, _reference_outcome):
+                    with open(path, newline="") as fh:
+                        source = {"str": text, "file": fh, "lines": text.splitlines(keepends=True)}[kind]
+                        outcomes.append(outcome(parse, source, mapping))
+                assert outcomes[0] == outcomes[1], (case, kind, text, mapping)
+
+    def test_rows_out_of_order_are_sorted(self):
+        src = "customer_id,timestamp,value\nb,2,1\na,5,1\na,1,2\nb,1,3\n"
+        result = parse_transaction_log(src)
+        assert list(result.log.records) == [
+            Transaction("a", 1.0, 2.0), Transaction("a", 5.0, 1.0), Transaction("b", 1.0, 3.0), Transaction("b", 2.0, 1.0),
+        ]
+        assert _parse_outcome(parse_transaction_log, src, ColumnMapping()) == _reference_outcome(
+            parse_transaction_log, src, ColumnMapping()
+        )
+
+    def test_a_rejected_time_between_repeats_of_a_time(self):
+        src = "customer_id,timestamp,event_kind\na,3.5,session_start\na,x,round_played\na,3.5,round_played\n,3.5,purchase\na,3.5,purchase\n"
+        result = parse_event_log(src)
+        assert [(e.timestamp, e.kind) for e in result.log.events] == [
+            (3.5, "session_start"), (3.5, "round_played"), (3.5, "purchase"),
+        ]
+        assert (result.total_rows, result.rejected_rows) == (5, 2)
+
+    def test_iso_time_whose_utc_date_is_out_of_range_is_a_bad_time(self):
+        src = "customer_id,timestamp,value\na,0001-01-01T00:00:00+01:00,5\nb,9999-12-31T23:00:00-02:00,1\nc,1970-01-02,2\n"
+        result = parse_transaction_log(src, ColumnMapping(iso_dates=True))
+        assert list(result.log.records) == [Transaction("c", 1.0, 2.0)]
+        assert result.rejected_by_reason["bad_time"] == 2
+
+    def test_counts_rejected_rows_by_reason(self):
+        src = (
+            "customer_id,timestamp,value\n"
+            "a,0,5\n"
+            "b,1\n,1,2\n"  # missing cells: a short row, an empty id
+            "c,x,2\nc,,2\n"  # bad times
+            "d,-1,2\nd,nan,2\nd,inf,2\nd,1e400,2\n"  # times out of range
+            "e,1,-2\ne,1,two\n"  # bad payloads
+        )
+        result = parse_transaction_log(src)
+        assert result.rejected_by_reason == {"missing_cell": 2, "bad_time": 2, "time_out_of_range": 4, "bad_payload": 2}
+        assert (result.total_rows, result.rejected_rows) == (11, 10)
+
+
 _ODD_IDS = ["a,b", 'q"x', "r\rs", "n\nl", "crlf\r\nx", "", " lead", "trail ", "é", "日本", "plain"]
 
 
@@ -175,6 +358,19 @@ class TestWriteCsv:
                 [EVENT_KINDS[i % 3] for i in range(2 * _CHUNK_ROWS + 5)],
             ],
         ),
+        # adjacent cells are formatted once per run of equal bits
+        "signed_zeros": (["x", "y"], [np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0]), np.array([-0.0, -0.0, 0.0, 0.0, -0.0, 1.0])]),
+        "non_finite_runs": (
+            ["id", "x"],
+            [list("abcdefghijkl"), np.array([np.nan, np.nan, -np.nan, np.inf, np.inf, -np.inf, -np.inf, -np.inf, 1.0, np.nan, np.inf, np.nan])],
+        ),
+        "run_across_a_chunk": (
+            ["customer_id", "timestamp"],
+            [
+                np.array([f"c{i // 7}" for i in range(2 * _CHUNK_ROWS + 7)], dtype=object),
+                np.repeat([7.25, 0.1 + 0.2, 1e300, -0.0], [_CHUNK_ROWS - 5, 10, _CHUNK_ROWS + 1, 1]),
+            ],
+        ),
     }
 
     @pytest.mark.parametrize("name", list(TABLES))
@@ -188,8 +384,29 @@ class TestWriteCsv:
             w.writerows(zip(*columns))
         assert ours.read_bytes() == oracle.read_bytes()
         with open(ours, newline="") as fh:
-            back = list(read_columns(fh, header))
-        assert back == [[_text(v) for v in row] for row in zip(*columns)]
+            rows, pick = _reader(fh, header)
+            back = list(map(pick, rows))
+        assert back == [tuple(_text(v) for v in row) for row in zip(*columns)]
+
+
+    def test_float32_and_strided_columns_write_each_cell_as_float_repr(self, tmp_path):
+        """Cells whose csv.writer text is not `float.__repr__`'s, or that are
+        not contiguous: a float32 column, and the rows of a transposed table
+        as `write_feature_csv` passes them. Runs are found by each column's
+        own bits."""
+        rng = np.random.default_rng(9)
+        counts = rng.integers(1, 5, 60)
+        f32 = np.repeat(rng.random(60).astype(np.float32), counts)
+        f32[::11] = -0.0
+        f32[5:8] = np.float32(np.nan)
+        n = len(f32)
+        table = np.column_stack([np.repeat(rng.exponential(3.0, 60), counts), np.where(np.arange(n) % 3, 0.0, -0.0)])
+        columns = [f32, *table.T]
+        assert not columns[1].flags.contiguous
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c"], columns)
+        lines = [",".join(float.__repr__(v) for v in row) for row in zip(*(c.tolist() for c in columns))]
+        assert path.read_bytes() == ("\r\n".join(["a,b,c", *lines]) + "\r\n").encode()
 
 
 class TestReadCsv:
