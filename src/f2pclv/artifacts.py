@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
 
@@ -100,6 +100,13 @@ def _of(cls, blob: dict, **nested):
     return cls(**values)
 
 
+def _fields(model) -> dict:
+    """A dataclass's fields by name, a nested dataclass's alike. Unlike
+    `dataclasses.asdict` it copies nothing else: a forest's trees, which are
+    plain JSON values already, are the model's own, not deep copies."""
+    return {f.name: _fields(v) if is_dataclass(v := getattr(model, f.name)) else v for f in fields(model)}
+
+
 def _forest(blob: dict) -> FittedForest:
     return _of(FittedForest, blob, config=partial(_of, ForestConfig))
 
@@ -126,15 +133,15 @@ def _markov(blob: dict):
 # purchase counts; older artifacts hold a forest of constant 1 there instead,
 # which scales predictions by exactly 1.0.
 _KINDS = {
-    "basic": (asdict, partial(_of, BasicCLVConfig)),
-    "retention": (asdict, partial(_of, RetentionCurve, steps=lambda steps: [tuple(step) for step in steps])),
-    "monetization": (asdict, partial(_of, MonetizationCurve)),
-    "pareto_nbd": (asdict, partial(_of, ParetoNBDParams)),
-    "bg_nbd": (asdict, partial(_of, BGNBDParams)),
-    "gamma_gamma": (asdict, partial(_of, GammaGammaParams)),
+    "basic": (_fields, partial(_of, BasicCLVConfig)),
+    "retention": (_fields, partial(_of, RetentionCurve, steps=lambda steps: [tuple(step) for step in steps])),
+    "monetization": (_fields, partial(_of, MonetizationCurve)),
+    "pareto_nbd": (_fields, partial(_of, ParetoNBDParams)),
+    "bg_nbd": (_fields, partial(_of, BGNBDParams)),
+    "gamma_gamma": (_fields, partial(_of, GammaGammaParams)),
     "markov": (_markov_blob, _markov),
-    "forest": (asdict, _forest),
-    "three_stage": (asdict, partial(
+    "forest": (_fields, _forest),
+    "three_stage": (_fields, partial(
         _of, ThreeStageModel, payer_classifier=_forest, value_forest=_forest,
         count_forest=lambda blob: None if blob is None else _forest(blob),
     )),
@@ -143,7 +150,9 @@ MODEL_KINDS = tuple(_KINDS)
 
 
 def model_to_parameters(kind: str, model, fit_info: dict | None = None) -> dict:
-    """Serialize a fitted model of the given kind to a JSON-safe dict."""
+    """Serialize a fitted model of the given kind to a JSON-safe dict. The
+    dict shares the model's lists, such as a forest's trees: save it, do not
+    edit it."""
     if kind not in _KINDS:
         raise DataError(f"unknown model_kind {kind!r}")
     return {**_KINDS[kind][0](model), **(fit_info or {})}

@@ -334,13 +334,31 @@ def _float_texts(part: np.ndarray):
     return np.repeat(texts, np.diff(starts, append=len(part))).tolist()
 
 
+class _Coded:
+    """The column `values[codes]` of a `Rows` stream, which the writer
+    formats once per value, not once per row."""
+
+    def __init__(self, values, codes):
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, part: slice) -> "_Coded":
+        return _Coded(self.values, self.codes[part])
+
+
 def _texts_of(column):
     """The function that gives the cells of a slice of `column` their texts:
-    `_float_texts` for a float array, else each cell after `tolist` through
-    a lookup that quotes each distinct string once for a column of strings,
-    or through `_cell`."""
+    `_float_texts` for a float array, each value's text by its code for a
+    `_Coded` column, else each cell after `tolist` through a lookup that
+    quotes each distinct string once for a column of strings, or through
+    `_cell`."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return _float_texts
+    if isinstance(column, _Coded):
+        texts = np.array(list(map(_cell, column.values.tolist())), dtype=object)
+        return lambda part: texts[part.codes].tolist()
     distinct = set(column)
     text = {v: _quote(v) for v in distinct}.__getitem__ if all(type(v) is str for v in distinct) else _cell
     return lambda part: map(text, part.tolist() if isinstance(part, np.ndarray) else part)
@@ -442,12 +460,12 @@ def parse_event_log(source: Iterable[str] | str, mapping: ColumnMapping = Column
 
 def write_transaction_csv(log: TransactionLog, path) -> None:
     r = log.records
-    write_csv(path, ["customer_id", "timestamp", "value"], [r.ids[r.codes], r.times, r.payload])
+    write_csv(path, ["customer_id", "timestamp", "value"], [_Coded(r.ids, r.codes), r.times, r.payload])
 
 
 def write_event_csv(log: TransactionLog, path) -> None:
     e = log.events
-    write_csv(path, ["customer_id", "timestamp", "event_kind"], [e.ids[e.codes], e.times, e.payload])
+    write_csv(path, ["customer_id", "timestamp", "event_kind"], [_Coded(e.ids, e.codes), e.times, e.payload])
 
 
 def _group_by_customer(*streams: Rows):

@@ -5,23 +5,30 @@ tree trains on a bootstrap resample, and split candidates draw from a
 random feature subset. Prediction averages the trees. The classifier
 variant trains on 0/1 targets and lets each tree vote its leaf majority.
 
-A forest's trees grow in lockstep: each step takes the next depth-first
-node of every unfinished tree and searches all of their splits in one flat
-pass. A tree cannot instead grow level by level without changing: each tree
-draws its split features from its own generator in depth-first preorder, so
-a right child's draw depends on how many draws its left sibling's whole
-subtree made. Each tree sorts its bootstrap sample once per feature, when
-its root is searched. A node is a range of those sorted columns, which a
-split partitions stably in place, so every node sees its rows in the order a
-stable argsort of them gives and sums them in the order a recursive grower
-would: the trees are the same, bit for bit. The one exception is a split
-whose midpoint threshold rounds onto the upper value and so leaves a child
-empty, where a recursive grower recursed without end.
+A forest's trees grow in lockstep: each step takes the next depth-first node
+to search of every unfinished tree and searches all of their splits in one
+flat pass. A tree draws uniform keys from its own generator, a block of rows
+at a time, and its searched nodes take the rows in depth-first preorder; a
+node searches the features with the smallest keys in its row. A tree cannot
+grow level by level without changing, as a right child's row depends on how
+many nodes its left sibling's whole subtree searched, but it does not depend
+on how the nodes are batched into steps.
+
+Each tree sorts its bootstrap sample once per feature. A node is a range of
+those sorted columns, which a split partitions stably in place, so every
+node sees its rows in the order a stable argsort of them gives. A node comes
+with the sum, the sum of squares, the min and the max of its targets: a
+root's taken over its bootstrap sample, a child's by its parent's split over
+its rows in the split feature's order. A node is a leaf when it is too small
+to split, at the depth limit, or when its targets are equal (min == max); a
+leaf is never searched. A recursive grower that sums in the same orders
+grows the same trees, bit for bit. The one exception is a split whose
+midpoint threshold rounds onto the upper value and so leaves a child empty,
+where a recursive grower recursed without end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +62,8 @@ class ForestConfig:
 # nodes, tree by tree, until the next would exceed the second.
 _GROUP_ELEMENTS = 1 << 19
 _STEP_ELEMENTS = 1 << 15
+# Rows of uniform feature keys a tree draws from its generator at a time.
+_KEY_ROWS = 64
 
 
 def _ranges(starts, lengths):
@@ -62,6 +71,16 @@ def _ranges(starts, lengths):
     and the offset of each range in that list."""
     offsets = np.cumsum(lengths) - lengths
     return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum())), offsets
+
+
+def _segment_sums(values, starts):
+    """Per segment of `values` beginning at each of `starts`: the sum, the sum
+    of squares, the min and the max, each as a list. A segment's sums depend
+    only on its own values, in order, wherever it lies."""
+    return [
+        reduce.reduceat(part, starts).tolist()
+        for reduce, part in ((np.add, values), (np.add, values * values), (np.minimum, values), (np.maximum, values))
+    ]
 
 
 def _dense_ranks(x):
@@ -73,30 +92,45 @@ def _dense_ranks(x):
     return np.array([inverse for _, inverse in columns], dtype=dtype)
 
 
-def _grow_group(x, y, config, rngs):
+def _grow_group(x, ranks, y, config, rngs):
     """Grow one tree per generator, all in lockstep.
 
-    Tree t's bootstrap sample fills the slots t*n .. t*n + n - 1. index[t, c]
-    lists the tree's slots sorted stably by feature c, and index[t, n_features]
-    lists them in slot order. A node owns the same range [lo, hi) of each of
-    these columns.
+    Tree t's bootstrap sample fills the slots t*n .. t*n + n - 1. index[t, f]
+    lists the tree's slots sorted stably by feature f. A node owns the same
+    range [lo, hi) of each of these columns. A stack entry is a node still to
+    search: (lo, hi, depth, node, the sum of its targets, and their sum of
+    squares about the mean).
     """
     n, n_features = x.shape
     g = len(rngs)
-    cols = n_features + 1
-    k = int(np.ceil(np.sqrt(n_features))) if config.features_per_split == "sqrt" else n_features
+    draw = config.features_per_split == "sqrt"
+    k = int(np.ceil(np.sqrt(n_features))) if draw else n_features
     min_leaf, max_depth = config.min_samples_leaf, config.max_depth
     rows = np.empty(g * n, dtype=np.int32)
     for t, rng in enumerate(rngs):
         rows[t * n : t * n + n] = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
     columns = x.T.reshape(-1)  # feature f of row r at f * n + r
-    index = np.empty((g, cols, n), dtype=np.int32)
+    index = np.empty((g, n_features, n), dtype=np.int32)
     flat_index = index.reshape(-1)
-    ranks = None
+    for t in range(g):
+        index[t] = np.argsort(ranks[:, rows[t * n : t * n + n]], axis=1, kind="stable") + t * n
     goes_left = np.empty(g * n, dtype=np.uint8)  # by slot, for the nodes a step splits
-    trees = [{} for _ in range(g)]
-    stacks = [[(0, n, 0, tree)] for tree in trees]
-    presorted = [False] * g
+    keys = np.empty((g, _KEY_ROWS, n_features))
+    used = np.full(g, _KEY_ROWS)  # key rows each tree has taken from its block
+    stacks = [[] for _ in range(g)]
+
+    def node(stack, lo, hi, depth, total, square_sum, low, high):
+        """A node holding the targets with these sums and extremes, put on
+        the stack to search unless it is a leaf: too small to split, at the
+        depth limit, or with equal targets."""
+        m = hi - lo
+        grown = {"n": m, "value": total / m}
+        if m >= 2 * min_leaf and (max_depth is None or depth < max_depth) and low != high:
+            stack.append((lo, hi, depth, grown, total, square_sum - total * total / m))
+        return grown
+
+    root_sums = _segment_sums(y.take(rows), np.arange(0, g * n, n))
+    trees = [node(stack, 0, n, 0, *sums) for stack, *sums in zip(stacks, *root_sums)]
     while True:
         step = []
         budget = _STEP_ELEMENTS
@@ -107,52 +141,36 @@ def _grow_group(x, y, config, rngs):
         if not step:
             return trees
 
-        # Node by node: the leaf tests on the node's own pairwise sums, and the
-        # feature draw, so that each tree draws in depth-first preorder.
-        search = []
-        for t, lo, hi, depth, node in step:
-            m = hi - lo
-            y_node = y.take(rows.take(index[t, n_features, lo:hi]) if presorted[t] else rows[t * n : t * n + n])
-            total = np.add.reduce(y_node)
-            node["n"] = m
-            node["value"] = float(total / m)
-            if m < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-                continue
-            dev = y_node - total / m
-            total_sq = float(np.add.reduce(dev * dev))
-            if total_sq / m == 0.0:
-                continue
-            if config.features_per_split == "sqrt":
-                features = rngs[t].choice(n_features, size=k, replace=False)
-            else:
-                features = np.arange(n_features)
-            if not presorted[t]:
-                if ranks is None:
-                    ranks = _dense_ranks(x)
-                tree_rows = rows[t * n : t * n + n]
-                index[t, :n_features] = np.argsort(ranks[:, tree_rows], axis=1, kind="stable") + t * n
-                index[t, n_features] = np.arange(t * n, t * n + n)
-                presorted[t] = True
-            search.append((t, lo, m, depth, node, total, total_sq, features))
-        if not search:
-            continue
+        # A tree's searched nodes take rows of its uniform keys in preorder, and
+        # a node's features are the k with the smallest keys in its row.
+        search_tree, search_lo, search_hi, _, _, search_total, search_sq = zip(*step)
+        search_tree = np.array(search_tree)
+        if draw:
+            spent = search_tree[used[search_tree] == _KEY_ROWS]
+            for t in spent.tolist():
+                keys[t] = rngs[t].random((_KEY_ROWS, n_features))
+            used[spent] = 0
+            search_features = np.argsort(keys[search_tree, used[search_tree]], axis=1, kind="stable")[:, :k]
+            used[search_tree] += 1
+        else:
+            search_features = np.broadcast_to(np.arange(n_features), (len(step), k))
 
-        # One flat pass over the sorted range of every (node, drawn feature).
-        search_tree, search_lo, search_len, _, _, search_total, _, search_features = zip(*search)
+        # One flat pass over the sorted range of every (node, feature).
+        search_len = np.subtract(search_hi, search_lo)
         seg_len = np.repeat(search_len, k)
-        seg_feature = np.concatenate(search_features)
-        seg_start = (np.repeat(search_tree, k) * cols + seg_feature) * n + np.repeat(search_lo, k)
+        seg_feature = search_features.reshape(-1)
+        seg_start = (np.repeat(search_tree, k) * n_features + seg_feature) * n + np.repeat(search_lo, k)
         flat, seg_at = _ranges(seg_start, seg_len)
         slot = flat_index.take(flat)
         slot_rows = rows.take(slot)
         xs = columns.take(slot_rows + np.repeat(seg_feature * n, seg_len))
+        # each (node, feature) range's running sums of y and of y * y
         ys_sorted = y.take(slot_rows)
-        cum = np.empty_like(ys_sorted)
-        cum_sq = ys_sorted * ys_sorted
-        for m, a in zip(search_len, seg_at[::k].tolist()):
+        ys_both = np.stack((ys_sorted, ys_sorted * ys_sorted))
+        cum, cum_sq = cums = np.empty_like(ys_both)
+        for m, a in zip(search_len.tolist(), seg_at[::k].tolist()):
             block = slice(a, a + k * m)
-            np.cumsum(ys_sorted[block].reshape(k, m), axis=1, out=cum[block].reshape(k, m))
-            np.cumsum(cum_sq[block].reshape(k, m), axis=1, out=cum_sq[block].reshape(k, m))
+            ys_both[:, block].reshape(2, k, m).cumsum(axis=2, out=cums[:, block].reshape(2, k, m))
         # A split after local position i leaves i + 1 rows on the left. It
         # needs x to rise there and min_samples_leaf rows on either side.
         cand = np.flatnonzero(xs[1:] > xs[:-1])
@@ -177,22 +195,17 @@ def _grow_group(x, y, config, rngs):
         at[seg[hit]] = cand[hit]
         thresholds = 0.5 * (xs[at] + xs[at + 1])
 
-        # Each node takes the first drawn feature with the largest gain.
-        split = []
-        for e, (t, lo, m, depth, node, _, total_sq, _) in enumerate(search):
-            best, best_gain = None, 0.0
-            for j, low in enumerate(seg_min[e * k : e * k + k].tolist(), e * k):
-                if math.isfinite(low) and (best is None or total_sq - low > best_gain):
-                    best, best_gain = j, total_sq - low
-            if best is not None and best_gain > 0:
-                node["feature"] = int(seg_feature[best])
-                split.append((t, lo, m, depth, node, best))
-        if not split:
+        # Each node takes the first feature with the largest gain, if positive.
+        seg_min = seg_min.reshape(-1, k)
+        gains = np.where(np.isfinite(seg_min), np.array(search_sq)[:, None] - seg_min, -np.inf)
+        best = gains.argmax(axis=1)
+        split = np.flatnonzero(gains[np.arange(len(step)), best] > 0)
+        if not len(split):
             continue
 
         # Partition each split node's range of every column stably in place:
         # the slots with x <= threshold first, each side in its old order.
-        chosen_seg = np.array([s[5] for s in split])
+        chosen_seg = split * k + best[split]
         lengths = seg_len[chosen_seg]
         chosen, chosen_at = _ranges(seg_at[chosen_seg], lengths)
         left = xs[chosen] <= np.repeat(thresholds[chosen_seg], lengths)
@@ -206,14 +219,23 @@ def _grow_group(x, y, config, rngs):
             left = xs[chosen] <= np.repeat(thresholds[chosen_seg], lengths)
             n_left = np.add.reduceat(left, chosen_at)
         goes_left[slot[chosen]] = left
-        for (t, lo, m, depth, node, j), nl in zip(split, n_left.tolist()):
-            node["threshold"] = float(thresholds[j])
+        # Each child's sums over its rows in the chosen column: a prefix and
+        # the rest of that column's range.
+        halves = np.column_stack((chosen_at, chosen_at + n_left)).reshape(-1)
+        child_sums = zip(*_segment_sums(ys_sorted.take(chosen), halves))
+        for e, j, nl in zip(split.tolist(), chosen_seg.tolist(), n_left.tolist()):
+            t, lo, hi, depth, parent, _, _ = step[e]
+            m = hi - lo
+            parent["feature"] = int(seg_feature[j])
+            parent["threshold"] = float(thresholds[j])
             block = index[t, :, lo : lo + m]
             block_left = goes_left.take(block).view(bool)
-            block[:, :nl], block[:, nl:] = block[block_left].reshape(cols, nl), block[~block_left].reshape(cols, m - nl)
-            node["left"], node["right"] = {}, {}
-            stacks[t].append((lo + nl, lo + m, depth + 1, node["right"]))
-            stacks[t].append((lo, lo + nl, depth + 1, node["left"]))
+            block[:, :nl], block[:, nl:] = block[block_left].reshape(-1, nl), block[~block_left].reshape(-1, m - nl)
+            left_sums, right_sums = next(child_sums), next(child_sums)
+            # the right child goes on the stack first, so the left is searched first
+            right = node(stacks[t], lo + nl, lo + m, depth + 1, *right_sums)
+            parent["left"] = node(stacks[t], lo, lo + nl, depth + 1, *left_sums)
+            parent["right"] = right
 
 
 def _tree_predict(node, x):
@@ -252,10 +274,11 @@ def fit_random_forest(x, y, config: ForestConfig | None = None, classifier: bool
     root = np.random.SeedSequence(config.seed)
     seeds = [int(s.generate_state(1)[0]) for s in root.spawn(config.n_trees)]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    per_group = max(1, _GROUP_ELEMENTS // ((x.shape[1] + 1) * len(y)))
+    ranks = _dense_ranks(x)
+    per_group = max(1, _GROUP_ELEMENTS // x.size)
     trees = []
     for i in range(0, len(rngs), per_group):
-        trees += _grow_group(x, y, config, rngs[i : i + per_group])
+        trees += _grow_group(x, ranks, y, config, rngs[i : i + per_group])
     return FittedForest(
         config=config,
         trees=trees,

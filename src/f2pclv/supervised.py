@@ -193,6 +193,18 @@ def _neighbor_distances(z_cont, cat, penalty_sq):
     return d2
 
 
+def _nearest(d2, k):
+    """The columns of each row's k smallest entries, nearest first and ties
+    in column order: the first k of each row's stable argsort. A partition
+    finds each row's k-th smallest entry, and only the entries at or below it
+    are sorted, by (row, entry, column)."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    row, col = np.nonzero(d2 <= kth[:, None])
+    col = col[np.lexsort((col, d2[row, col], row))]
+    counts = np.bincount(row, minlength=len(d2))
+    return col[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+
+
 def smote_nc_regression(
     features: FeatureMatrix, y, config: SmoteConfig, return_details: bool = False
 ):
@@ -236,7 +248,7 @@ def smote_nc_regression(
     penalty = 1.0 if (sd > 0).any() else 0.0
     d2 = _neighbor_distances(z_cont, x_min[:, cat_cols], penalty**2)
     np.fill_diagonal(d2, np.inf)
-    neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, : config.k_neighbors]
+    neighbor_ids = _nearest(d2, config.k_neighbors)
 
     rng = np.random.default_rng(config.seed)
     synth_x = np.empty((n_synth, x.shape[1]))

@@ -1,5 +1,6 @@
 """Artifact round trips for every model kind, and malformed artifacts."""
 
+import copy
 import json
 from dataclasses import asdict
 
@@ -103,6 +104,24 @@ def test_saved_file_is_the_indented_json_of_the_artifact(tmp_path, name):
     artifact = art.ModelArtifact(kind, art.model_to_parameters(kind, model, {"nll": 1.5}), metadata={"seed": 1})
     art.save_artifact(artifact, tmp_path / "a.json")
     assert (tmp_path / "a.json").read_text() == json.dumps(asdict(artifact), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", [name for name in _CASES if name != "markov"])
+def test_saved_bytes_equal_those_of_asdict_and_leave_the_model_as_it_was(tmp_path, name):
+    kind, model, predict = _case(name)
+    before, expected = copy.deepcopy(model), predict(model)
+    _save(kind, model, tmp_path / "a.json", {"nll": 1.5})
+    art.save_artifact(art.ModelArtifact(kind, {**asdict(model), "nll": 1.5}, metadata={"seed": 1}), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert model == before
+    assert np.array_equal(predict(model), expected)
+
+
+def test_forest_parameters_share_the_trees():
+    _, model, _ = _case("three_stage_with_counts")
+    parameters = art.model_to_parameters("three_stage", model)
+    assert parameters["value_forest"]["trees"] is model.value_forest.trees
+    assert parameters["value_forest"]["config"] == asdict(model.value_forest.config)
 
 
 def test_dataclass_kinds_store_their_fields_in_order():

@@ -389,6 +389,29 @@ class TestWriteCsv:
         assert back == [tuple(_text(v) for v in row) for row in zip(*columns)]
 
 
+    def test_log_writers_equal_csv_writer_over_the_rows(self, tmp_path):
+        """The id column is written from each stream's ids by code: rows of
+        odd ids in no order, over more than one chunk."""
+        rng = np.random.default_rng(4)
+        n = 2 * _CHUNK_ROWS + 9
+        ids = [_ODD_IDS[i] for i in rng.integers(0, len(_ODD_IDS), n)]
+        times = rng.exponential(20.0, n).round(2)
+        log = TransactionLog(
+            records=[Transaction(c, t, v) for c, t, v in zip(ids, times, rng.gamma(2.0, 3.0, n))],
+            events=[GameEvent(c, t, EVENT_KINDS[i % 3]) for i, (c, t) in enumerate(zip(ids[::-1], times))],
+        )
+        for write, header, rows in (
+            (write_transaction_csv, ["customer_id", "timestamp", "value"], log.records),
+            (write_event_csv, ["customer_id", "timestamp", "event_kind"], log.events),
+        ):
+            ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+            write(log, ours)
+            with open(oracle, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows(rows)
+            assert ours.read_bytes() == oracle.read_bytes()
+
     def test_float32_and_strided_columns_write_each_cell_as_float_repr(self, tmp_path):
         """Cells whose csv.writer text is not `float.__repr__`'s, or that are
         not contiguous: a float32 column, and the rows of a transposed table

@@ -34,6 +34,14 @@ def test_single_unbounded_tree_memorizes_distinct_rows():
     assert np.mean((predict(forest, x) - y) ** 2) == 0.0
 
 
+def test_equal_targets_make_one_leaf():
+    # 0.1 does not sum exactly: the mean of three is not 0.1, and the sum of
+    # squares about it is not 0. Equal targets are a leaf by min == max.
+    x = np.array([[0.0], [1.0], [2.0]])
+    forest = fit_random_forest(x, np.full(3, 0.1), ForestConfig(n_trees=1, bootstrap=False))
+    assert forest.trees == [{"n": 3, "value": 0.30000000000000004 / 3}]
+
+
 def test_default_configuration():
     config = ForestConfig()
     assert config.n_trees == 100
@@ -124,13 +132,21 @@ def test_default_config_is_not_shared_between_calls():
 # Reference: a recursive grower that builds one tree at a time, node by node,
 # sorting each node's rows afresh. The lockstep grower must give the same
 # trees exactly: same splits, thresholds, node values and key order.
+#
+# The rules it shares with the grower: a node's sums are taken by reduceat
+# over its rows, a root's in bootstrap order and a child's in its parent's
+# order sorted stably by the split feature. A node with equal targets is a
+# leaf. A searched node takes the next row of uniform keys from its tree's
+# generator, in preorder, and searches the k features with the smallest keys.
 
 
-def _reference_best_split(x, y, feature_ids, min_leaf):
+def _reference_sums(y):
+    return tuple(reduce.reduceat(v, [0])[0] for reduce, v in ((np.add, y), (np.add, y * y), (np.minimum, y), (np.maximum, y)))
+
+
+def _reference_best_split(x, y, feature_ids, min_leaf, total, total_sq):
     """(feature, threshold, gain) minimizing child SSE; None if no valid split."""
     n = len(y)
-    total = y.sum()
-    total_sq = float(np.sum((y - y.mean()) ** 2))
     best = None
     for f in feature_ids:
         order = np.argsort(x[:, f], kind="stable")
@@ -159,29 +175,33 @@ def _reference_best_split(x, y, feature_ids, min_leaf):
     return best
 
 
-def _reference_grow_tree(x, y, config, rng, depth=0):
-    node = {"n": int(len(y)), "value": float(y.mean())}
+def _reference_grow_tree(x, y, config, rng, sums, depth=0):
+    total, square_sum, low, high = sums
+    node = {"n": int(len(y)), "value": float(total / len(y))}
     if (
         len(y) < 2 * config.min_samples_leaf
         or (config.max_depth is not None and depth >= config.max_depth)
-        or float(np.var(y)) == 0.0
+        or low == high
     ):
         return node
     n_features = x.shape[1]
     if config.features_per_split == "sqrt":
         k = int(np.ceil(np.sqrt(n_features)))
-        feature_ids = rng.choice(n_features, size=k, replace=False)
+        feature_ids = np.argsort(rng.random(n_features), kind="stable")[:k]
     else:
         feature_ids = np.arange(n_features)
-    split = _reference_best_split(x, y, feature_ids, config.min_samples_leaf)
+    total_sq = square_sum - total * total / len(y)
+    split = _reference_best_split(x, y, feature_ids, config.min_samples_leaf, total, total_sq)
     if split is None or split[2] <= 0:
         return node
     f, threshold, _ = split
     mask = x[:, f] <= threshold
+    ys = y[np.argsort(x[:, f], kind="stable")]
+    n_left = int(mask.sum())
     node["feature"] = int(f)
     node["threshold"] = threshold
-    node["left"] = _reference_grow_tree(x[mask], y[mask], config, rng, depth + 1)
-    node["right"] = _reference_grow_tree(x[~mask], y[~mask], config, rng, depth + 1)
+    node["left"] = _reference_grow_tree(x[mask], y[mask], config, rng, _reference_sums(ys[:n_left]), depth + 1)
+    node["right"] = _reference_grow_tree(x[~mask], y[~mask], config, rng, _reference_sums(ys[n_left:]), depth + 1)
     return node
 
 
@@ -191,7 +211,7 @@ def _reference_trees(x, y, config):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, len(y), size=len(y)) if config.bootstrap else np.arange(len(y))
-        trees.append(_reference_grow_tree(x[rows], y[rows], config, rng))
+        trees.append(_reference_grow_tree(x[rows], y[rows], config, rng, _reference_sums(y[rows])))
     return trees
 
 
@@ -244,6 +264,17 @@ def test_trees_equal_the_reference_across_groups_and_partial_steps(monkeypatch):
     monkeypatch.setattr(forest_module, "_GROUP_ELEMENTS", 2 * 4 * 90)
     monkeypatch.setattr(forest_module, "_STEP_ELEMENTS", 2 * 90)
     _assert_matches_reference(x, y, ForestConfig(n_trees=5, min_samples_leaf=2, seed=4))
+
+
+def test_trees_do_not_change_when_groups_steps_and_key_blocks_shrink(monkeypatch):
+    x, y = _toy_data(n=150, seed=14)
+    config = ForestConfig(n_trees=7, max_depth=6, min_samples_leaf=2, seed=8)
+    expected = fit_random_forest(x, y, config).trees
+    # one tree a group, one node a step, one key row a draw
+    monkeypatch.setattr(forest_module, "_GROUP_ELEMENTS", 1)
+    monkeypatch.setattr(forest_module, "_STEP_ELEMENTS", 1)
+    monkeypatch.setattr(forest_module, "_KEY_ROWS", 1)
+    assert json.dumps(fit_random_forest(x, y, config).trees) == json.dumps(expected)
 
 
 def test_a_midpoint_that_rounds_onto_the_upper_value_still_separates_the_rows():

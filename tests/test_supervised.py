@@ -28,7 +28,7 @@ from f2pclv.supervised import (
     smote_nc_regression,
     write_feature_csv,
 )
-from f2pclv.supervised import _neighbor_distances
+from f2pclv.supervised import _nearest, _neighbor_distances
 
 
 class TestExtractFeatures:
@@ -203,6 +203,23 @@ class TestSmote:
                 assert d2.tobytes() == expected.tobytes()
             else:
                 np.testing.assert_allclose(d2, expected, rtol=n_features * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nearest_equals_the_first_k_of_a_stable_argsort(self, seed):
+        """Integer distances tie often; duplicate rows tie at distance 0;
+        k runs up to n_min - 1, where every other row is a neighbor."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        z = rng.integers(0, 3, size=(n, 2)).astype(float)
+        z[n // 2 :] = z[: n - n // 2]  # duplicate rows
+        cats = rng.integers(0, 2, size=(n, 1)).astype(float)
+        d2 = _neighbor_distances(z, cats, 1.0)
+        np.fill_diagonal(d2, np.inf)
+        for k in sorted({1, n // 2 or 1, n - 1}):
+            assert np.array_equal(_nearest(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+        d2 = rng.integers(0, 4, size=(n, n)).astype(float)
+        np.fill_diagonal(d2, np.inf)
+        assert np.array_equal(_nearest(d2, n - 1), np.argsort(d2, axis=1, kind="stable")[:, : n - 1])
 
     def test_identical_minority_rows_reproduce_exactly(self):
         values = np.vstack([np.tile([1.0, 2.0, 5.0], (4, 1)), np.zeros((16, 3))])
