@@ -144,24 +144,24 @@ def _pareto_tail_term(r, alpha, s, beta, x, t, grad=False):
         # ~1e17 times alpha + t: the 2F1 at z = 1 is out of reach, and a
         # fit's objective reads this as a non-finite point
         raise NumericalError(f"Pareto/NBD tail term: 2F1 argument rounds to 1 at alpha={alpha}, beta={beta}")
-    if not grad:
-        _, log_f = log_hyp2f1(1.0, b_euler, rsx + 1.0, z)
-        return log_f + (1.0 - b) * np.log1p(-z) - rsx * np.log(q)
-    # z = (base - other) / q: at alpha = beta the kink of |alpha - beta| is
-    # taken from the side of the branch, where the term is smooth
-    j_base, j_other = (1, 3) if alpha >= beta else (3, 1)
-    d_r, d_s = np.array([[r], [0.0], [0.0], [0.0]]), np.array([[0.0], [0.0], [s], [0.0]])
-    d_b_euler, d_b = (d_r, d_s) if alpha >= beta else (d_s, d_r)
-    d_rsx = d_r + d_s
-    dz = np.zeros((4, z.size))
-    dz[j_base] = base * (other + t) / q**2
-    dz[j_other] = -other / q
-    d_log_q = np.zeros((4, z.size))
-    d_log_q[j_base] = base / q
-    _, log_f, d_log_f = log_hyp2f1(1.0, b_euler, rsx + 1.0, z, tangents=(None, d_b_euler, d_rsx, dz))
+    if grad:
+        # z = (base - other) / q: at alpha = beta the kink of |alpha - beta|
+        # is taken from the side of the branch, where the term is smooth
+        j_base, j_other = (1, 3) if alpha >= beta else (3, 1)
+        d_r, d_s = np.array([[r], [0.0], [0.0], [0.0]]), np.array([[0.0], [0.0], [s], [0.0]])
+        d_b_euler, d_b = (d_r, d_s) if alpha >= beta else (d_s, d_r)
+        d_rsx = d_r + d_s
+        dz = np.zeros((4, z.size))
+        dz[j_base] = base * (other + t) / q**2
+        dz[j_other] = -other / q
+    _, log_f, *d_log_f = log_hyp2f1(1.0, b_euler, rsx + 1.0, z, tangents=(None, d_b_euler, d_rsx, dz) if grad else None)
     log_1mz, log_q = np.log1p(-z), np.log(q)
     term = log_f + (1.0 - b) * log_1mz - rsx * log_q
-    d_term = d_log_f - d_b * log_1mz - (1.0 - b) * dz / (1.0 - z) - d_rsx * log_q - rsx * d_log_q
+    if not grad:
+        return term
+    d_log_q = np.zeros((4, z.size))
+    d_log_q[j_base] = base / q
+    d_term = d_log_f[0] - d_b * log_1mz - (1.0 - b) * dz / (1.0 - z) - d_rsx * log_q - rsx * d_log_q
     return term, d_term
 
 

@@ -34,36 +34,34 @@ step or a batch, a block would be too narrow for the scan to pay, and a
 pass adds one term. Convergence is checked at every 4th term, a block that
 runs past a check whose sum needs rescaling is redone up to it, and every
 row stops summing at its own convergence, so a row gets the same bits
-whatever the width and whatever other rows share the call. That also lets
-a batch call be evaluated in chunks of _CHUNK_ROWS rows, whose arrays stay
-in cache.
-
-Such a call is mostly fixed cost, so it takes no step its rows do not need.
-A call of one chunk whose rows all lie below the switch goes straight to
-the series, under the call's one np.errstate. The series tracks rows by
-position and keeps per-row results only once a pass leaves some rows
-summing; a call whose rows all stop in its first pass, as a one-customer
-request's do, finishes from that pass's values as they are. A one-row or
-12-row call, such as a one-customer request's (1, 12) horizon grid, then
-costs about 1.8 times a bare evaluation of its single block (interleaved
-medians on a shared 2-vCPU VM; about 3 times before).
+whatever the width and whatever other rows share the call.
 
 The cells of a (customer x period) grid share a, b and c along a row, and
-so every term ratio but z. A call of at least _ROW_MIN_ROWS rows whose a, b
-and c are the same along the last axis is summed by row (_row_series): each
-term ratio is computed once per row, and each cell is still summed to its
-own stop and completed by its own remainder, operation for operation as
-the series above sums it, so every cell has the same bits by either route,
-in a call of any size. The cells the row sweep cannot sum as the series
-would go one at a time through the routing above: those past the switch
-that the connection formula takes, those whose sums would be rescaled,
-those of rows whose terms change sign after the first, and those that
-have not stopped by max_terms. A call with one argument per row or with
-tangents, such as a fit's or a single horizon's, and a call of fewer rows,
-where the sweep's cost per term would be the interpreter's, take the
-routing above. On the BG/NBD horizon grid of a batch, 5,461 customers by
-12 weekly periods a call, the row route takes about 0.7 of the time of the
-cell-by-cell series.
+so every term ratio but z. A call without tangents of at least
+_ROW_MIN_ROWS rows whose a, b and c are the same along the last axis is
+summed by row (_row_series): each term ratio is computed once per row, and
+each cell is still summed to its own stop and completed by its own
+remainder, operation for operation as the series above sums it, so every
+cell has the same bits by either route. A call with one argument per row
+or with tangents, such as a fit's or a single horizon's, and a call of
+fewer rows, where the sweep's cost per term would be the interpreter's,
+is summed cell by cell.
+
+One dispatch routes each cell once, over chunks whose arrays stay in
+cache: _CHUNK_ROWS cells, or whole rows of at most _ROW_CHUNK_CELLS cells
+for a call summed by row. A cell past the switch whose direct series is
+not short goes to the connection formula, and every other cell to the
+series. Summed by row, a chunk's series cells go through the row sweep
+first, and those it cannot sum as the series would go to the series cell
+by cell: those whose sums would be rescaled, those of rows whose terms
+change sign after the first, and those not stopped by max_terms. A call is
+mostly fixed cost, so it takes no step its rows do not need. A call summed
+cell by cell that is one chunk whose rows all lie below the switch goes
+straight to the series, and a chunk whose rows all take one route goes
+unsplit. The series tracks rows by position and keeps per-row results only
+once a pass leaves some rows summing; a call whose rows all stop in its
+first pass, as a one-customer request's do, finishes from that pass's
+values as they are.
 
 The direct series needs about b*z/(1-z) terms, so a large b just below the
 z = 0.9 switch can exhaust MAX_TERMS. The Pareto/NBD likelihood therefore
@@ -580,70 +578,52 @@ def _connection_log(a, b, c, z, max_terms, tangents=None):
     return log_f, sign_f, (part1 * dlog_t1 + part2 * dlog_t2) / total
 
 
-def _cells(a, b, c, z, max_terms, tangents, all_below):
-    """(log|2F1|, sign, d log|2F1|) of each cell of flat z, each cell by the
-    series or the connection formula; a, b and c are floats or one value
-    per cell, and all_below says that no z passes the switch."""
-    if 0 < z.size <= _CHUNK_ROWS and all_below:
+def _dispatch(a, b, c, z, max_terms, tangents, all_below, width):
+    """(log|2F1|, sign, d log|2F1|) of each cell of flat z, each routed once
+    as the module docstring describes. With width, z holds rows of width
+    cells whose a, b and c are floats or one value per row, summed by row;
+    else a, b and c are floats or one value per cell, and all_below says
+    that no z passes the switch."""
+    if not width and 0 < z.size <= _CHUNK_ROWS and all_below:
         # one chunk whose rows all take the series: no split, no scatter
         return _series(a, b, c, z, max_terms, tangents)
     log_f, sign_f = np.empty_like(z), np.empty_like(z)
     dlog_f = None if tangents is None else np.empty((next(t for t in tangents if t is not None).shape[0], z.size))
-    for start in range(0, z.size, _CHUNK_ROWS):
-        chunk = slice(start, start + _CHUNK_ROWS)
+    per_chunk = max(1, _ROW_CHUNK_CELLS // width) * width if width else _CHUNK_ROWS
+
+    def params(at):
+        return [v if isinstance(v, float) else v[at] for v in (a, b, c)]
+
+    for start in range(0, z.size, per_chunk):
+        chunk = slice(start, start + per_chunk)
         near = z[chunk] > _Z_SWITCH
+        if np.count_nonzero(near):
+            at = start + np.flatnonzero(near)
+            near[at - start] = ~_direct_is_short(*params(at // width if width else at), z[at])
         n_near = np.count_nonzero(near)
-        if n_near:
-            at = np.flatnonzero(near)
-            near[at] = ~_direct_is_short(
-                *(v if isinstance(v, float) else v[chunk][at] for v in (a, b, c)), z[chunk][at]
-            )
-            n_near = np.count_nonzero(near)
-        if n_near in (0, near.size):
+        if not width and n_near in (0, near.size):
             # every row on one side of the switch: no split
             parts = [(chunk, _connection_log if n_near else _series)]
         else:
-            parts = [(start + np.flatnonzero(~near), _series), (start + np.flatnonzero(near), _connection_log)]
-        for rows, evaluate in parts:
-            row_tangents = (
-                None if tangents is None else tuple(None if t is None else t[:, rows] for t in tangents)
-            )
-            a_rows, b_rows, c_rows = (v if isinstance(v, float) else v[rows] for v in (a, b, c))
-            log_f[rows], sign_f[rows], d = evaluate(a_rows, b_rows, c_rows, z[rows], max_terms, row_tangents)
-            if d is not None:
-                dlog_f[:, rows] = d
+            series = ~near
+            if width:
+                # the cells the connection formula takes are swept as if z
+                # were 0: their z would slow the rest
+                swept = np.where(near, 0.0, z[chunk]) if n_near else z[chunk]
+                rows = slice(start // width, chunk.stop // width)
+                summed = _row_series(*params(rows), swept.reshape(-1, width), max_terms)
+                log_f[chunk], sign_f[chunk], left = (v.reshape(-1) for v in summed)
+                series &= left
+            parts = [(start + np.flatnonzero(series), _series), (start + np.flatnonzero(near), _connection_log)]
+        for cells, evaluate in parts:
+            if isinstance(cells, np.ndarray) and not cells.size:
+                continue
+            cell_tangents = None if tangents is None else tuple(None if t is None else t[:, cells] for t in tangents)
+            values = evaluate(*params(cells // width if width else cells), z[cells], max_terms, cell_tangents)
+            log_f[cells], sign_f[cells] = values[:2]
+            if values[2] is not None:
+                dlog_f[:, cells] = values[2]
     return log_f, sign_f, dlog_f
-
-
-def _by_row(a, b, c, z, max_terms):
-    """(log|2F1|, sign), flat, of the cells of z, (rows, width), whose a, b
-    and c are floats or one value per row: by _row_series over chunks of
-    rows, and by _cells for each cell past the switch that the direct
-    series would not take, and each cell _row_series leaves."""
-    rows, width = z.shape
-    log_f, sign_f = np.empty((2, rows, width))
-    per_chunk = max(1, _ROW_CHUNK_CELLS // width)
-    for start in range(0, rows, per_chunk):
-        chunk = slice(start, start + per_chunk)
-        z_rows = z[chunk]
-        a_rows, b_rows, c_rows = (v if isinstance(v, float) else v[chunk] for v in (a, b, c))
-        near = z_rows > _Z_SWITCH
-        if np.count_nonzero(near):
-            i, j = np.nonzero(near)
-            near[i, j] = ~_direct_is_short(
-                *(v if isinstance(v, float) else v[i] for v in (a_rows, b_rows, c_rows)), z_rows[i, j]
-            )
-        # such cells are summed as if z were 0: their z would slow the rest
-        swept = np.where(near, 0.0, z_rows) if np.count_nonzero(near) else z_rows
-        log_f[chunk], sign_f[chunk], left = _row_series(a_rows, b_rows, c_rows, swept, max_terms)
-        left |= near
-        if np.count_nonzero(left):
-            i, j = np.nonzero(left)
-            cells = [v if isinstance(v, float) else v[i] for v in (a_rows, b_rows, c_rows)]
-            z_cells = z_rows[i, j]
-            values = _cells(*cells, z_cells, max_terms, None, np.count_nonzero(z_cells > _Z_SWITCH) == 0)
-            log_f[chunk][i, j], sign_f[chunk][i, j] = values[:2]
-    return log_f.reshape(-1), sign_f.reshape(-1)
 
 
 def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
@@ -693,10 +673,7 @@ def log_hyp2f1(a, b, c, z, max_terms=MAX_TERMS, tangents=None):
     # the series and the connection formula overflow, divide by zero and
     # take logs of 0 on rows whose results stand as IEEE arithmetic gives them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if row_width:
-            log_f, sign_f = _by_row(a, b, c, z.reshape(-1, row_width), max_terms)
-        else:
-            log_f, sign_f, dlog_f = _cells(a, b, c, z, max_terms, tangents, below == z.size)
+        log_f, sign_f, dlog_f = _dispatch(a, b, c, z, max_terms, tangents, below == z.size, row_width)
     values = (float(sign_f[0]), float(log_f[0])) if scalar else (sign_f.reshape(shape), log_f.reshape(shape))
     if tangents is None:
         return values

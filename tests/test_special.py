@@ -357,6 +357,31 @@ def test_rows_sharing_parameters_give_each_cell_its_flat_bits(kind, monkeypatch)
     assert len(summed) > 10
 
 
+def test_grid_cells_past_the_switch_are_routed_once(monkeypatch):
+    # summed by row, each cell past the switch is tested for a short direct
+    # series once, and every cell keeps its flat bits
+    rng = np.random.default_rng(23)
+    c = 2.3 + rng.integers(0, 40, (3000, 1)).astype(float)
+    z = rng.uniform(0.5, 0.97, (3000, 12))
+    assert len(z) >= special._ROW_MIN_ROWS
+    flat = log_hyp2f1(2.9, -0.2, np.broadcast_to(c, z.shape).ravel(), z.ravel())
+    tested, summed, connected = [], [], []
+
+    def counted(a, b, c, z):
+        tested.append(z.size)
+        return is_short(a, b, c, z)
+
+    is_short = special._direct_is_short
+    monkeypatch.setattr(special, "_direct_is_short", counted)
+    monkeypatch.setattr(special, "_row_series", _counting(special._row_series, summed))
+    monkeypatch.setattr(special, "_connection_log", _counting(special._connection_log, connected))
+    values = log_hyp2f1(2.9, -0.2, c, z)
+    assert summed and connected
+    assert sum(tested) == np.count_nonzero(z > special._Z_SWITCH)
+    for got, want in zip(values, flat):
+        assert _same_bits(got, want.reshape(z.shape))
+
+
 def _same_bits(x, y):
     """Equal float64 arrays, bit for bit: -0.0 differs from 0.0."""
     return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
